@@ -12,7 +12,9 @@ package costmodel
 import (
 	"testing"
 
+	"cohmeleon/internal/policy"
 	"cohmeleon/internal/soc"
+	"cohmeleon/internal/workload"
 )
 
 func TestZeroAllocFeaturesEstimate(t *testing.T) {
@@ -35,5 +37,65 @@ func TestZeroAllocFeaturesEstimate(t *testing.T) {
 	}
 	if sinkE < 1 || sinkM < 0 {
 		t.Fatalf("nonsensical estimate: %g cycles, %g lines", sinkE, sinkM)
+	}
+}
+
+// TestZeroAllocValidate: validating an application against its SoC
+// allocates nothing — the replay re-validates the same app on every
+// run.
+func TestZeroAllocValidate(t *testing.T) {
+	est := testEstimator(t)
+	app := testApp(t, est, 3)
+	cfg := est.ex.Config()
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := app.Validate(cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("App.Validate allocates %.1f times per call, want 0", allocs)
+	}
+}
+
+// TestZeroAllocPerInvocationReplay: Run and Train allocate per run, not
+// per invocation — an app and its twin with twice the loops (twice the
+// invocations, the same phases and threads) cost the same number of
+// allocations, for a fixed policy and for a learning agent.
+func TestZeroAllocPerInvocationReplay(t *testing.T) {
+	est := testEstimator(t)
+	app := testApp(t, est, 3)
+	twin := doubledLoops(app)
+	if twin.Invocations() != 2*app.Invocations() {
+		t.Fatalf("twin has %d invocations, want %d", twin.Invocations(), 2*app.Invocations())
+	}
+	fixed := policy.NewFixed(soc.CohDMA)
+	agent := testAgent(t, true)
+	cases := []struct {
+		name string
+		run  func(*workload.App)
+	}{
+		{"Run/fixed", func(a *workload.App) {
+			if _, err := est.Run(fixed, a); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"Run/agent", func(a *workload.App) {
+			if _, err := est.Run(agent, a); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"Train/agent", func(a *workload.App) {
+			if err := est.Train(agent, a); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	}
+	for _, c := range cases {
+		base := testing.AllocsPerRun(20, func() { c.run(app) })
+		doubled := testing.AllocsPerRun(20, func() { c.run(twin) })
+		if doubled > base {
+			t.Errorf("%s: %.1f allocs for %d invocations, %.1f for %d — allocations grow with invocations",
+				c.name, base, app.Invocations(), doubled, twin.Invocations())
+		}
 	}
 }

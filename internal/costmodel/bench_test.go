@@ -3,6 +3,7 @@ package costmodel
 import (
 	"testing"
 
+	"cohmeleon/internal/policy"
 	"cohmeleon/internal/soc"
 )
 
@@ -28,5 +29,40 @@ func BenchmarkCostModelEstimate(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		ex.Features(0, act, 1<<20, 2, &x)
 		benchSinkExec, benchSinkMem = m.Estimate(&x)
+	}
+}
+
+// BenchmarkEstimatorRun measures one analytical replay of a ~300-
+// invocation generated app on SoC6 under a fixed policy, keeping every
+// invocation record (the screened roster's evaluation runs). Its
+// allocs/op is per run: TestZeroAllocPerInvocationReplay enforces that
+// it does not grow with the invocation count.
+func BenchmarkEstimatorRun(b *testing.B) {
+	est := testEstimator(b)
+	app := testApp(b, est, 1000)
+	pol := policy.NewFixed(soc.CohDMA)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := est.Run(pol, app); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkEstimatorTrain measures one training replay of the same app
+// by a learning agent (the screened cell's training iterations), which
+// keeps no invocation records.
+func BenchmarkEstimatorTrain(b *testing.B) {
+	est := testEstimator(b)
+	app := testApp(b, est, 1000)
+	agent := testAgent(b, false)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := est.Train(agent, app); err != nil {
+			b.Fatal(err)
+		}
+		agent.EndIteration()
 	}
 }

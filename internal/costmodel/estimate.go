@@ -59,7 +59,11 @@ func (e *Estimator) Model() *Model { return e.m }
 
 // threadState tracks one thread's analytic execution through a phase.
 type threadState struct {
-	spec    *workload.ThreadSpec
+	spec *workload.ThreadSpec
+	// first is the slab index of the thread's first invocation record:
+	// records are laid out thread-major within a phase, the order the
+	// runner reports them in.
+	first   int
 	lines   int64
 	steps   int
 	started bool
@@ -73,32 +77,75 @@ type threadState struct {
 // off-chip totals plus every synthesized invocation result, delivered
 // to pol.Observe in the same deterministic order they are decided.
 func (e *Estimator) Run(pol esp.Policy, app *workload.App) (*workload.AppResult, error) {
+	return e.replay(pol, app, true)
+}
+
+// Train replays app under pol exactly as Run does — the same decisions,
+// observations and policy state afterwards — but keeps no invocation
+// records: every observation reuses one esp.Result, which is safe under
+// the esp.Policy contract (policies retain neither the context nor the
+// result past the call). Training loops discard their runs' results,
+// so they use Train.
+func (e *Estimator) Train(pol esp.Policy, app *workload.App) error {
+	_, err := e.replay(pol, app, false)
+	return err
+}
+
+// replay is the step-major analytic replay behind Run and Train. Its
+// scratch space — the sensed context, the thread states and the result
+// records — is allocated per call, sized from the app's step counts, so
+// concurrent replays on one Estimator never share it and a replay's
+// allocations do not grow with its invocation count. keep selects
+// whether the invocation records are returned (Run) or a single record
+// is recycled through every observation (Train).
+func (e *Estimator) replay(pol esp.Policy, app *workload.App, keep bool) (*workload.AppResult, error) {
 	cfg := e.ex.Config()
 	if err := app.Validate(cfg); err != nil {
 		return nil, err
 	}
 	ap, fineGrain := pol.(esp.ActionPolicy)
-	res := &workload.AppResult{App: app, Policy: pol.Name()}
+	ctx := &esp.Context{}
+	maxThreads := 0
+	for pi := range app.Phases {
+		maxThreads = max(maxThreads, len(app.Phases[pi].Threads))
+	}
+	ths := make([]threadState, maxThreads)
+
+	var res *workload.AppResult
+	var slab []esp.Result
+	var ptrs []*esp.Result
+	if keep {
+		res = &workload.AppResult{App: app, Policy: pol.Name(),
+			Phases: make([]workload.PhaseResult, 0, len(app.Phases))}
+		slab = make([]esp.Result, app.Invocations())
+		ptrs = make([]*esp.Result, len(slab))
+		for i := range slab {
+			ptrs[i] = &slab[i]
+		}
+	} else {
+		slab = make([]esp.Result, 1)
+	}
 	var x FeatureVec
+	base := 0 // slab index of the current phase's first record
 
 	for pi := range app.Phases {
 		phase := &app.Phases[pi]
-		pr := workload.PhaseResult{Name: phase.Name}
-		ths := make([]threadState, len(phase.Threads))
-		results := make([][]*esp.Result, len(phase.Threads))
-		maxSteps := 0
+		ths := ths[:len(phase.Threads)]
+		maxSteps, first := 0, base
 		for ti := range phase.Threads {
 			ts := &phase.Threads[ti]
 			st := &ths[ti]
-			st.spec = ts
-			st.lines = (ts.FootprintBytes + mem.LineBytes - 1) / mem.LineBytes
-			st.steps = ts.Invocations()
-			st.last = soc.ModeAction(soc.NonCohDMA)
+			*st = threadState{
+				spec:  ts,
+				first: first,
+				lines: (ts.FootprintBytes + mem.LineBytes - 1) / mem.LineBytes,
+				steps: ts.Invocations(),
+				last:  soc.ModeAction(soc.NonCohDMA),
+			}
+			first += st.steps
 			// Dataset initialization (the runner's warm-up touch).
 			e.touch(st, st.lines)
-			if st.steps > maxSteps {
-				maxSteps = st.steps
-			}
+			maxSteps = max(maxSteps, st.steps)
 		}
 
 		// Step-major replay: at step k every live thread decides and runs
@@ -123,7 +170,7 @@ func (e *Estimator) Run(pol esp.Policy, app *workload.App) (*workload.AppResult,
 				if !ok {
 					return nil, fmt.Errorf("costmodel: unknown accelerator %q", st.spec.Chain[link])
 				}
-				ctx := e.sense(ai, st.spec.FootprintBytes, ths, ti, k)
+				e.sense(ctx, ai, st.spec.FootprintBytes, ths, ti, k)
 				var act soc.Action
 				if fineGrain {
 					act = ap.DecideAction(ctx)
@@ -139,15 +186,19 @@ func (e *Estimator) Run(pol esp.Policy, app *workload.App) (*workload.AppResult,
 				estExec, estMem := e.m.Estimate(&x)
 				estExec += float64(pol.OverheadCycles())
 
-				r := e.result(ai, act, st.spec.FootprintBytes, estExec, estMem, pol)
+				r := &slab[0]
+				if keep {
+					r = &slab[st.first+k]
+				}
+				e.result(r, ai, act, st.spec.FootprintBytes, estExec, estMem, pol)
 				pol.Observe(r)
-				results[ti] = append(results[ti], r)
 				st.last = act
 				st.started = true
 				st.time += estExec
 				st.offchip += estMem
 			}
 		}
+		pr := workload.PhaseResult{Name: phase.Name}
 		for ti := range ths {
 			st := &ths[ti]
 			if st.spec.ReadbackFraction > 0 {
@@ -157,14 +208,19 @@ func (e *Estimator) Run(pol esp.Policy, app *workload.App) (*workload.AppResult,
 				pr.Cycles = sim.Cycles(st.time)
 			}
 			pr.OffChip += int64(st.offchip)
-			pr.Invocations = append(pr.Invocations, results[ti]...)
 		}
 		if pr.Cycles < 1 {
 			pr.Cycles = 1
 		}
-		res.Phases = append(res.Phases, pr)
-		res.Cycles += pr.Cycles
-		res.OffChip += pr.OffChip
+		if keep {
+			if first > base {
+				pr.Invocations = ptrs[base:first:first]
+			}
+			res.Phases = append(res.Phases, pr)
+			res.Cycles += pr.Cycles
+			res.OffChip += pr.OffChip
+		}
+		base = first
 	}
 	return res, nil
 }
@@ -180,12 +236,12 @@ func (e *Estimator) touch(st *threadState, n int64) {
 	st.offchip += float64(n)
 }
 
-// sense synthesizes the decision context the tracker would assemble:
+// sense fills ctx with the decision context the tracker would assemble:
 // the other live threads of the phase are the active invocations, each
 // at its most recent action's hot mode, all sharing one partition.
-func (e *Estimator) sense(ai int, footprint int64, ths []threadState, self, k int) *esp.Context {
+func (e *Estimator) sense(ctx *esp.Context, ai int, footprint int64, ths []threadState, self, k int) {
 	cfg := e.ex.Config()
-	ctx := &esp.Context{
+	*ctx = esp.Context{
 		Acc:            &e.tiles[ai],
 		Available:      e.avail[ai],
 		FootprintBytes: footprint,
@@ -230,15 +286,14 @@ func (e *Estimator) sense(ai int, footprint int64, ths []threadState, self, k in
 	ctx.NonCohPerTile = float64(nonCoh)
 	ctx.ToLLCPerTile = float64(toLLC)
 	ctx.TileFootprintBytes = float64(footprint + ctx.ActiveFootprintBytes)
-	return ctx
 }
 
-// result synthesizes the esp.Result for an estimated invocation. The
+// result fills r with the esp.Result of an estimated invocation. The
 // hardware-counter split is approximate: busy time is the estimate
 // minus the fixed software costs the simulator charges outside the
 // accelerator (driver, TLB load, interrupt, policy overhead), and
 // communication is attributed half of busy time.
-func (e *Estimator) result(ai int, act soc.Action, footprint int64, estExec, estMem float64, pol esp.Policy) *esp.Result {
+func (e *Estimator) result(r *esp.Result, ai int, act soc.Action, footprint int64, estExec, estMem float64, pol esp.Policy) {
 	pages := (footprint + mem.PageBytes - 1) / mem.PageBytes
 	software := float64(e.pms.DriverCycles+e.pms.IRQCycles) +
 		float64(pages)*float64(e.pms.TLBPerPageCycles) +
@@ -247,7 +302,7 @@ func (e *Estimator) result(ai int, act soc.Action, footprint int64, estExec, est
 	if active < 1 {
 		active = 1
 	}
-	return &esp.Result{
+	*r = esp.Result{
 		Acc:            &e.tiles[ai],
 		Mode:           act.Hot(),
 		Action:         act,

@@ -34,20 +34,21 @@ func testSoC(t *testing.T) *soc.SoC {
 	return s
 }
 
-// recordingPolicy fixes a mode and records what it saw.
+// recordingPolicy fixes a mode and records copies of what it saw (the
+// Policy contract forbids retaining the pointers).
 type recordingPolicy struct {
 	mode     soc.Mode
-	contexts []*Context
-	results  []*Result
+	contexts []Context
+	results  []Result
 	overhead sim.Cycles
 }
 
 func (r *recordingPolicy) Name() string { return "recording" }
 func (r *recordingPolicy) Decide(ctx *Context) soc.Mode {
-	r.contexts = append(r.contexts, ctx)
+	r.contexts = append(r.contexts, *ctx)
 	return ctx.Clamp(r.mode)
 }
-func (r *recordingPolicy) Observe(res *Result)        { r.results = append(r.results, res) }
+func (r *recordingPolicy) Observe(res *Result)        { r.results = append(r.results, *res) }
 func (r *recordingPolicy) OverheadCycles() sim.Cycles { return r.overhead }
 
 func runSim(t *testing.T, s *soc.SoC, fn func(p *sim.Proc)) {

@@ -16,6 +16,13 @@ import (
 // Policy selects a coherence mode for each accelerator invocation and
 // learns (or not) from the outcome. Implementations: the Cohmeleon
 // Q-learning module (internal/core) and the baselines (internal/policy).
+//
+// Implementations must not retain the *Context passed to Decide (or
+// DecideAction) or the *Result passed to Observe after the call
+// returns: copy out whatever they keep. Callers may reuse both — the
+// analytical replay (costmodel.Estimator) fills one Context in place
+// for every decision of a run, and its training replay recycles one
+// Result through every observation.
 type Policy interface {
 	// Name identifies the policy in reports.
 	Name() string

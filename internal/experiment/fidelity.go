@@ -381,11 +381,12 @@ func screenSweepScenario(sc scenario.Scenario, opt Options, loaded *learn.Tabula
 
 // trainAnalytic is trainCohmeleon against the estimator: same
 // unfreeze/iterate/end-iteration protocol, with each training run
-// replayed through the model instead of the simulator.
+// replayed through the model instead of the simulator. Training keeps
+// no run results, so it replays through Estimator.Train.
 func trainAnalytic(est *costmodel.Estimator, agent *core.Cohmeleon, train *workload.App, iters int) error {
 	agent.Unfreeze()
 	for i := 0; i < iters; i++ {
-		if _, err := est.Run(agent, train); err != nil {
+		if err := est.Train(agent, train); err != nil {
 			return err
 		}
 		agent.EndIteration()

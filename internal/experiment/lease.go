@@ -63,7 +63,7 @@ type LeaseStats struct {
 	// Reclaimed counts stale leases this process actually took (won the
 	// reclaim rename); at most one worker ever wins each.
 	Reclaimed int64
-	// Contended counts acquire races lost: the exclusive create found a
+	// Contended counts acquire races lost: the exclusive link found a
 	// lease another worker published first.
 	Contended int64
 	// Lost counts held leases observed taken away (reclaimed by a peer
@@ -264,10 +264,14 @@ func (lt *leaseTable) claim(i int) (token uint64, claimed bool, err error) {
 	}
 }
 
-// acquire publishes a fresh lease for cell i via exclusive create: of
-// any number of racing workers, exactly one wins the O_EXCL. A failed
-// write after a won create withdraws the lease rather than leaving a
-// torn file to wedge the cell for a TTL.
+// acquire publishes a fresh lease for cell i. The sealed lease is
+// written to a temp file first and then hard-linked into place: the
+// link fails with EEXIST when any lease is already there, so of any
+// number of racing workers exactly one wins, and because the file is
+// complete before its name appears, a peer's read never sees it half
+// written (an exclusive create followed by a write would expose an
+// empty file that observers quarantine as corrupt, taking a live
+// lease away).
 func (lt *leaseTable) acquire(i int, tok uint64) (uint64, bool, error) {
 	if err := faultinject.Check(faultinject.LeaseAcquire); err != nil {
 		return 0, false, err
@@ -276,22 +280,18 @@ func (lt *leaseTable) acquire(i int, tok uint64) (uint64, bool, error) {
 	if err != nil {
 		return 0, false, err
 	}
-	f, err := os.OpenFile(lt.path(i), os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
+	tmp, err := lt.writeTemp(data)
+	if err != nil {
+		return 0, false, err
+	}
+	err = os.Link(tmp, lt.path(i))
+	os.Remove(tmp) // a temp file a failed remove leaves is swept by the fsck
 	if err != nil {
 		if os.IsExist(err) {
 			leaseContended.Add(1)
 			return 0, false, nil
 		}
 		return 0, false, err
-	}
-	_, werr := f.Write(data)
-	cerr := f.Close()
-	if werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		os.Remove(lt.path(i))
-		return 0, false, werr
 	}
 	leaseAcquired.Add(1)
 	lt.mu.Lock()
@@ -300,6 +300,24 @@ func (lt *leaseTable) acquire(i int, tok uint64) (uint64, bool, error) {
 	}
 	lt.mu.Unlock()
 	return tok, true, nil
+}
+
+// writeTemp writes data to a fresh temp file in the lease directory and
+// returns its name; on error nothing is left behind.
+func (lt *leaseTable) writeTemp(data []byte) (string, error) {
+	f, err := os.CreateTemp(lt.dir, fmt.Sprintf(".lease-%d-*.tmp", os.Getpid()))
+	if err != nil {
+		return "", err
+	}
+	_, err = f.Write(data)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		os.Remove(f.Name())
+		return "", err
+	}
+	return f.Name(), nil
 }
 
 // renew advances the heartbeat counter of a held lease via temp file +
@@ -325,21 +343,12 @@ func (lt *leaseTable) renew(i int, tok uint64) error {
 	if err != nil {
 		return err
 	}
-	f, err := os.CreateTemp(lt.dir, fmt.Sprintf(".lease-%d-*.tmp", os.Getpid()))
+	tmp, err := lt.writeTemp(data)
 	if err != nil {
 		return err
 	}
-	if _, err = f.Write(data); err != nil {
-		f.Close()
-		os.Remove(f.Name())
-		return err
-	}
-	if err = f.Close(); err != nil {
-		os.Remove(f.Name())
-		return err
-	}
-	if err = os.Rename(f.Name(), lt.path(i)); err != nil {
-		os.Remove(f.Name())
+	if err = os.Rename(tmp, lt.path(i)); err != nil {
+		os.Remove(tmp)
 		return err
 	}
 	leaseRenewed.Add(1)

@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -68,7 +69,7 @@ func TestLeaseAcquireIsExclusive(t *testing.T) {
 	if st.Acquired != 1 {
 		t.Errorf("Acquired = %d, want 1", st.Acquired)
 	}
-	// Losers either lost the O_EXCL race (counted Contended) or read the
+	// Losers either lost the link race (counted Contended) or read the
 	// winner's lease before even trying (skipped, uncounted); both are
 	// losses, neither is an acquisition.
 	if st.Contended > racers-1 {
@@ -192,6 +193,45 @@ func TestLeaseTornFileQuarantined(t *testing.T) {
 	}
 	if st := GetRunCacheStats(); st.Quarantined != 1 {
 		t.Errorf("Quarantined = %d, want 1", st.Quarantined)
+	}
+}
+
+// TestLeaseAcquireNeverTornToReaders: a lease becomes visible only
+// complete. One worker acquires and releases a cell in a loop while a
+// peer reads the same cell; the peer must never see a partly written
+// lease, so nothing is ever quarantined and no live lease is lost.
+func TestLeaseAcquireNeverTornToReaders(t *testing.T) {
+	leaseTestSetup(t)
+	holder := leaseTestTable(t, "holder", time.Hour)
+	peer := leaseTestTable(t, "peer", time.Hour)
+	var done atomic.Bool
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for !done.Load() {
+			peer.read(0)
+		}
+	}()
+	for i := 0; i < 2000; i++ {
+		tok, claimed, err := holder.acquire(0, uint64(i+1))
+		if err != nil || !claimed {
+			done.Store(true)
+			wg.Wait()
+			t.Fatalf("acquire %d = (%v, %v), want (true, nil)", i, claimed, err)
+		}
+		holder.release(0, tok)
+	}
+	done.Store(true)
+	wg.Wait()
+	if m, _ := filepath.Glob(filepath.Join(holder.dir, "*.corrupt")); len(m) != 0 {
+		t.Errorf("live leases quarantined as corrupt: %v", m)
+	}
+	if st := GetRunCacheStats(); st.Quarantined != 0 {
+		t.Errorf("Quarantined = %d, want 0", st.Quarantined)
+	}
+	if m, _ := filepath.Glob(filepath.Join(holder.dir, ".*.tmp")); len(m) != 0 {
+		t.Errorf("acquire left temp files behind: %v", m)
 	}
 }
 

@@ -108,12 +108,11 @@ func (t *ThreadSpec) Validate(cfg *soc.Config) error {
 	if len(t.Chain) == 0 {
 		return fmt.Errorf("workload: thread %s with empty chain", t.Name)
 	}
-	known := make(map[string]bool)
-	for _, a := range cfg.Accs {
-		known[a.InstName] = true
-	}
+	// A linear scan, not a name set: chains are a few links long and
+	// configurations hold at most a few dozen accelerators, and the
+	// analytical replay validates the same app on every run.
 	for _, inst := range t.Chain {
-		if !known[inst] {
+		if !hasAcc(cfg, inst) {
 			return fmt.Errorf("workload: thread %s references unknown accelerator %q", t.Name, inst)
 		}
 	}
@@ -121,6 +120,16 @@ func (t *ThreadSpec) Validate(cfg *soc.Config) error {
 		return fmt.Errorf("workload: thread %s with bad touch fractions", t.Name)
 	}
 	return nil
+}
+
+// hasAcc reports whether cfg holds an accelerator instance named inst.
+func hasAcc(cfg *soc.Config, inst string) bool {
+	for i := range cfg.Accs {
+		if cfg.Accs[i].InstName == inst {
+			return true
+		}
+	}
+	return false
 }
 
 // PhaseSpec is one application phase: threads launched together; the

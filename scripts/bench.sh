@@ -103,6 +103,12 @@ run_bench . 'BenchmarkSweepScreening$' 1x "${COHMELEON_WORKERS:-1}" "scenario sw
 # CI).
 run_bench_mem ./internal/costmodel 'BenchmarkCostModelEstimate$' 1000000x 1 "cost model estimate micro"
 
+# Analytical replay of one ~300-invocation app, with allocs/op: Run keeps
+# every invocation record (screened roster evaluation), Train keeps none
+# (screened training). Both allocate per run, never per invocation
+# (TestZeroAllocPerInvocationReplay enforces that in CI).
+run_bench_mem ./internal/costmodel 'BenchmarkEstimatorRun$|BenchmarkEstimatorTrain$' 2000x 1 "cost model replay"
+
 # Learner grid (fixed 4 scenarios × 8 stacks inside the benchmark):
 # tracks the cost of the pluggable-learner comparison across PRs.
 run_bench . 'BenchmarkLearners$' 1x "${COHMELEON_WORKERS:-1}" "learner grid"
