@@ -7,7 +7,10 @@ import (
 	"testing"
 	"time"
 
+	"cohmeleon/internal/esp"
 	"cohmeleon/internal/faultinject"
+	"cohmeleon/internal/policy"
+	"cohmeleon/internal/soc"
 )
 
 func TestForEachRunsEveryIndexOnce(t *testing.T) {
@@ -286,4 +289,43 @@ func TestWorkersReportByteIdenticalHeadline(t *testing.T) {
 		t.Fatalf("headline reports differ between Workers=1 and Workers=8:\n--- seq ---\n%s\n--- par ---\n%s",
 			a.Render(), b.Render())
 	}
+}
+
+// panickyPolicy panics from Decide, which the ESP runtime calls inside a
+// simulated thread process — on a kernel coroutine, not on the worker
+// goroutine that runs the cell.
+type panickyPolicy struct{ esp.Policy }
+
+type simPanic struct{ code int }
+
+func (panickyPolicy) Decide(*esp.Context) soc.Mode { panic(simPanic{code: 99}) }
+
+// TestForEachSurfacesSimulatedProcessPanic: a panic raised inside a
+// simulated process must reach forEach's recover on the worker that ran
+// the cell and re-raise on the caller as a *TrialPanic with the original
+// value, not kill the binary from a kernel goroutine.
+func TestForEachSurfacesSimulatedProcessPanic(t *testing.T) {
+	memoTestSetup(t)
+	cfg, app := memoTestInputs(t)
+	defer func() {
+		tp, ok := recover().(*TrialPanic)
+		if !ok {
+			t.Fatal("simulated process panic did not surface as a *TrialPanic")
+		}
+		if tp.Index != 1 {
+			t.Fatalf("panic reports trial %d, want 1", tp.Index)
+		}
+		if v, ok := tp.Value.(simPanic); !ok || v.code != 99 {
+			t.Fatalf("panic lost its payload: %#v", tp.Value)
+		}
+	}()
+	_ = forEach(context.Background(), 2, 4, func(i int) error {
+		var pol esp.Policy = policy.NewFixed(soc.LLCCohDMA)
+		if i == 1 {
+			pol = panickyPolicy{pol}
+		}
+		_, err := runApp(context.Background(), cfg, pol, app, uint64(i))
+		return err
+	})
+	t.Fatal("forEach returned instead of panicking")
 }

@@ -219,7 +219,7 @@ func TestDefaultDiagSinkStderrBytes(t *testing.T) {
 		{Kind: DiagQuarantine, Path: "/c/other.gob", Err: qerr}, // gated: silent
 		{Kind: DiagReadFailure, Path: "/c/entry.gob", Err: rerr},
 		{Kind: DiagReadFailure, Path: "/c/other.gob", Err: rerr}, // gated: silent
-		{Kind: DiagCellSaved, Path: "/c/cell.gob"},              // counter-only, never printed
+		{Kind: DiagCellSaved, Path: "/c/cell.gob"},               // counter-only, never printed
 		{Kind: DiagCellReplayed, Path: "/c/cell.gob"},
 		{Kind: DiagCellRetry, Err: werr},
 	}

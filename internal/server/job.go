@@ -176,10 +176,10 @@ type CellProgress struct {
 
 // JobStatus is the JSON shape of GET /jobs/{id}.
 type JobStatus struct {
-	ID    string   `json:"id"`
-	Spec  JobSpec  `json:"spec"`
-	State JobState `json:"state"`
-	Error string   `json:"error,omitempty"`
+	ID    string       `json:"id"`
+	Spec  JobSpec      `json:"spec"`
+	State JobState     `json:"state"`
+	Error string       `json:"error,omitempty"`
 	Cells CellProgress `json:"cells"`
 	// Counters is the job's share of run-store and retry traffic —
 	// memo/disk hits are cells and app runs this job got for free from
@@ -196,16 +196,16 @@ type Job struct {
 	spec     JobSpec
 	counters experiment.JobCounters
 
-	mu       sync.Mutex
-	cond     *sync.Cond // signals new events and settlement
-	state    JobState
-	errText  string
-	report   string
-	cells    CellProgress
-	events   []Event
-	settled  bool        // no further events in this process
-	cancelled bool       // client cancel, vs. drain interrupt
-	cancel   func()      // cancels the running job's context
+	mu        sync.Mutex
+	cond      *sync.Cond // signals new events and settlement
+	state     JobState
+	errText   string
+	report    string
+	cells     CellProgress
+	events    []Event
+	settled   bool   // no further events in this process
+	cancelled bool   // client cancel, vs. drain interrupt
+	cancel    func() // cancels the running job's context
 }
 
 // newJob returns a queued job.

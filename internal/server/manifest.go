@@ -23,13 +23,13 @@ const manifestVersion = 1
 
 // manifest is the persisted form of a job.
 type manifest struct {
-	ID      string
-	Seq     int
-	Spec    JobSpec
-	State   string
-	Error   string
-	Report  string
-	Cells   CellProgress
+	ID     string
+	Seq    int
+	Spec   JobSpec
+	State  string
+	Error  string
+	Report string
+	Cells  CellProgress
 }
 
 // manifestDir names the job-manifest area under a cache directory.

@@ -2,9 +2,11 @@
 
 package sim
 
-// Zero-allocation guards for the kernel's steady-state paths. The race
-// detector allocates shadow memory on channel operations, so these run
-// only in non-race builds (CI runs them as a dedicated step).
+// Zero-allocation guards for the kernel's steady-state paths. Race
+// builds instrument every access and synchronization point (the
+// coroutine switch included) and do not promise the allocation counts
+// of a normal build, so these run only in non-race builds (CI runs them
+// as a dedicated step).
 
 import "testing"
 
@@ -35,7 +37,8 @@ func TestZeroAllocEventDispatch(t *testing.T) {
 }
 
 // A park/resume pair via Delay must not allocate: the wakeup is an
-// intrusive heap event and the coroutine handoff reuses its channels.
+// intrusive heap event and the coroutine switch is a direct runtime
+// handoff with no per-switch state.
 func TestZeroAllocProcSwitch(t *testing.T) {
 	e := NewEngine()
 	var got float64

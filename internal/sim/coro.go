@@ -1,39 +1,50 @@
 package sim
 
-import "sync"
+import (
+	"iter"
+	"sync"
+)
 
-// A coro is a reusable worker goroutine that process bodies run on.
+// A coro is a reusable runtime coroutine that process bodies run on.
 //
-// Handoff protocol: exactly one logical token is in flight between the
-// scheduler and the coroutine. The scheduler sends on resume and blocks
-// on yield; the coroutine blocks on resume and sends on yield when it
-// parks or finishes. Both channels have capacity 1, so the sender never
-// blocks — each switch costs one buffered send and one blocking receive.
-// The channel operations also carry the happens-before edges that make
-// the unsynchronized Proc/coro field accesses race-free.
+// Handoff protocol: the coroutine is an iter.Pull over loop, so a switch
+// is the runtime's direct coroutine switch — the calling goroutine hands
+// its thread straight to the coroutine and back, without waking anything
+// through the scheduler. The scheduler resumes the coroutine with next
+// and blocks until it parks or finishes; the coroutine hands control
+// back with yield. iter.Pull's race annotations carry the happens-before
+// edges that make the unsynchronized Proc/coro field accesses race-free.
 //
 // Coroutines outlive the processes (and engines) they serve: when a body
-// returns, the goroutine parks on resume and the coro goes back to a
-// process-wide pool. Building thousands of short-lived SoCs across an
-// experiment fan-out therefore stops creating goroutines and channels
-// once the pool is warm.
+// returns, loop yields and the coro goes back to a process-wide pool.
+// Building thousands of short-lived SoCs across an experiment fan-out
+// therefore stops creating goroutines once the pool is warm. A pooled
+// coro is resumed from whichever worker goroutine runs its next engine;
+// iter.Pull allows that provided next and stop calls never overlap, and
+// the single-owner scheduler guarantees they don't: a coro belongs to
+// exactly one process at a time, and the pool's mutex orders the hand
+// from one owner to the next.
+//
+// A panic (or runtime.Goexit) in a process body ends the coroutine and
+// re-raises out of next on the goroutine that called Engine.Run. Such a
+// coro never reaches finishProc, so it is never returned to the pool.
 type coro struct {
-	resume chan struct{} // scheduler -> coroutine
-	yield  chan struct{} // coroutine -> scheduler
-	p      *Proc         // body to run; set by the scheduler before resume
-	quit   bool          // set (before resume) to retire the goroutine
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool // captured by loop on its first resume
+	p     *Proc               // body to run; set by the scheduler before next
 }
 
 // coroPool keeps idle coroutines for reuse. A plain mutex-guarded stack
-// rather than sync.Pool: pooled coros own parked goroutines, which must
-// not be dropped silently by a GC cycle.
+// rather than sync.Pool: pooled coros own suspended goroutines, which
+// must be stopped, not dropped silently by a GC cycle.
 var coroPool struct {
 	mu   sync.Mutex
 	free []*coro
 }
 
-// maxIdleCoros bounds the goroutines parked in the pool. Beyond it,
-// retiring coroutines simply exit; 256 comfortably covers the peak
+// maxIdleCoros bounds the goroutines suspended in the pool. Beyond it,
+// retiring coroutines are stopped; 256 comfortably covers the peak
 // concurrent process count of the experiment fan-out.
 const maxIdleCoros = 256
 
@@ -47,8 +58,8 @@ func getCoro() *coro {
 		return c
 	}
 	coroPool.mu.Unlock()
-	c := &coro{resume: make(chan struct{}, 1), yield: make(chan struct{}, 1)}
-	go c.loop()
+	c := &coro{}
+	c.next, c.stop = iter.Pull(c.loop)
 	return c
 }
 
@@ -60,22 +71,22 @@ func putCoro(c *coro) {
 		return
 	}
 	coroPool.mu.Unlock()
-	c.quit = true
-	c.resume <- struct{}{}
+	c.stop()
 }
 
-// loop runs process bodies handed over by schedulers until retired.
-func (c *coro) loop() {
+// loop runs process bodies handed over by schedulers until stopped: each
+// yield after a body returns suspends the coroutine in the pool, and the
+// next resume (true) starts the following body.
+func (c *coro) loop(yield func(struct{}) bool) {
+	c.yield = yield
 	for {
-		<-c.resume
-		if c.quit {
-			return
-		}
 		p := c.p
 		p.fn(p)
 		p.fn = nil
 		p.state = procDone
 		c.p = nil
-		c.yield <- struct{}{}
+		if !yield(struct{}{}) {
+			return
+		}
 	}
 }

@@ -21,8 +21,10 @@
 //     sequence numbers strictly increase) and merged with the heap by
 //     the same (at, seq) comparator, preserving the exact dispatch
 //     order a heap push would have produced;
-//   - process bodies run on pooled coroutines, so building thousands of
-//     SoCs across an experiment fan-out does not churn goroutines.
+//   - process bodies run on pooled runtime coroutines (iter.Pull), so a
+//     park/resume is a direct coroutine switch that never goes through
+//     the Go scheduler, and building thousands of SoCs across an
+//     experiment fan-out does not churn goroutines.
 package sim
 
 import (

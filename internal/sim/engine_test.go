@@ -493,8 +493,7 @@ func drainCoroPool() {
 	coroPool.free = nil
 	coroPool.mu.Unlock()
 	for _, c := range free {
-		c.quit = true
-		c.resume <- struct{}{}
+		c.stop()
 	}
 }
 

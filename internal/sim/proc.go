@@ -11,7 +11,7 @@ var ErrDeadlock = errors.New("deadlock")
 
 // Process states. A process always transitions on a well-defined side of
 // a coroutine handoff, so the field needs no synchronization beyond the
-// handoff channels' happens-before edges.
+// handoff's happens-before edges.
 const (
 	procNew     = uint8(iota) // spawned; start wakeup pending on the ready ring
 	procRunning               // executing on its coroutine right now
@@ -44,8 +44,10 @@ func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
 	return p
 }
 
-// resumeProc hands control to the process and blocks the scheduler until
-// it parks or finishes. Runs only on the scheduler goroutine.
+// resumeProc switches to the process's coroutine and returns when the
+// process parks or finishes. Runs only on the scheduler goroutine. A
+// panic in the body re-raises out of c.next here, skipping finishProc,
+// so the dead coroutine never returns to the pool.
 func (e *Engine) resumeProc(p *Proc) {
 	c := p.c
 	if p.state == procNew {
@@ -54,8 +56,7 @@ func (e *Engine) resumeProc(p *Proc) {
 		c.p = p
 	}
 	p.state = procRunning
-	c.resume <- struct{}{}
-	<-c.yield
+	c.next()
 	if p.state == procDone {
 		e.finishProc(p)
 	}
@@ -76,12 +77,12 @@ func (e *Engine) finishProc(p *Proc) {
 
 // park suspends the process until the scheduler resumes it; state
 // records why (timer or blocked) for deadlock diagnostics. Runs only on
-// the process's coroutine.
+// the process's coroutine: yield switches back to the goroutine blocked
+// in resumeProc and returns on the next resume. Only idle pooled
+// coroutines are ever stopped, so yield's result is always true here.
 func (p *Proc) park(state uint8) {
 	p.state = state
-	c := p.c
-	c.yield <- struct{}{}
-	<-c.resume
+	p.c.yield(struct{}{})
 }
 
 // Name returns the process name (for diagnostics).
