@@ -61,6 +61,45 @@ func BenchmarkDirectoryAccessOrInsert(b *testing.B) {
 	}
 }
 
+// benchRun is the 16-line group AccessOrInsertRun takes per call in
+// the coherence flows, starting at line start.
+func benchRun(lines []mem.LineAddr, start mem.LineAddr) []mem.LineAddr {
+	for i := range lines {
+		lines[i] = start + mem.LineAddr(i)
+	}
+	return lines
+}
+
+// BenchmarkDirectoryRunHit times a 16-line DMA read run whose lines are
+// all resident.
+func BenchmarkDirectoryRunHit(b *testing.B) {
+	d := NewDirectory("llc", 512<<10, 8)
+	lines := make([]mem.LineAddr, 16)
+	upd := RunUpdate{Kind: RunDMA}
+	var run DirRun
+	for l := mem.LineAddr(0); l < 8192; l += 16 {
+		d.AccessOrInsertRun(benchRun(lines, l), DirClean, upd, &run)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d.AccessOrInsertRun(benchRun(lines, mem.LineAddr(i*16&8191)), DirClean, upd, &run)
+	}
+}
+
+// BenchmarkDirectoryRunThrash times a 16-line DMA write run over a
+// working set larger than the partition: every line misses and evicts
+// a dirty victim.
+func BenchmarkDirectoryRunThrash(b *testing.B) {
+	d := NewDirectory("llc", 512<<10, 8)
+	lines := make([]mem.LineAddr, 16)
+	upd := RunUpdate{Kind: RunDMA, Write: true}
+	var run DirRun
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d.AccessOrInsertRun(benchRun(lines, mem.LineAddr(i*16&(benchLines-1))), DirDirty, upd, &run)
+	}
+}
+
 func BenchmarkSharerIteration(b *testing.B) {
 	e := &DirEntry{Sharers: 0x8421_0842_1084_2108}
 	var sum int

@@ -46,14 +46,13 @@ func (s State) Dirty() bool { return s == Modified }
 // Valid reports whether the state holds usable data.
 func (s State) Valid() bool { return s != Invalid }
 
-// way is one tag-store entry of a private cache. The layout is packed to
-// 16 bytes so a 4-way set spans a single hardware cache line: tag scans
-// are the simulator's hottest loop. Invalid ways keep line == noLine so
-// the hit scan needs only the tag compare (valid lines are never
-// negative).
+// way is one tag-store entry of a private cache. The layout is 16 bytes
+// so a 4-way set spans a single hardware cache line: tag scans are the
+// simulator's hottest loop. Invalid ways keep line == noLine so the hit
+// scan needs only the tag compare (valid lines are never negative). LRU
+// state lives in the set's recency word.
 type way struct {
 	line  mem.LineAddr
-	lru   uint32
 	state State
 }
 
@@ -74,25 +73,24 @@ type Stats struct {
 type Cache struct {
 	name    string
 	sets    [][]way
+	rec     []recency // per-set LRU order and valid ways
 	numSets int64
 	setMask int64 // numSets-1 when numSets is a power of two, else 0
-	tick    uint64
 	stats   Stats
 	lines   int // valid lines, for occupancy reporting
 }
 
 // New creates a cache of the given total size and associativity.
-// sizeBytes must be a multiple of assoc×mem.LineBytes.
+// sizeBytes must be a multiple of assoc×mem.LineBytes, and assoc at
+// most 16.
 func New(name string, sizeBytes int64, assoc int) *Cache {
-	if assoc <= 0 {
-		panic("cache: associativity must be positive")
-	}
+	checkAssoc(assoc)
 	totalLines := sizeBytes / mem.LineBytes
 	if totalLines <= 0 || totalLines%int64(assoc) != 0 {
 		panic(fmt.Sprintf("cache: size %d not divisible into %d-way sets", sizeBytes, assoc))
 	}
 	numSets := totalLines / int64(assoc)
-	c := &Cache{name: name, numSets: numSets, sets: make([][]way, numSets)}
+	c := &Cache{name: name, numSets: numSets, sets: make([][]way, numSets), rec: make([]recency, numSets)}
 	if numSets&(numSets-1) == 0 {
 		c.setMask = numSets - 1
 	}
@@ -102,6 +100,7 @@ func New(name string, sizeBytes int64, assoc int) *Cache {
 	}
 	for i := range c.sets {
 		c.sets[i] = backing[int64(i)*int64(assoc) : (int64(i)+1)*int64(assoc)]
+		c.rec[i] = newRecency(assoc)
 	}
 	return c
 }
@@ -120,33 +119,22 @@ func (c *Cache) Stats() Stats { return c.stats }
 // ValidLines returns the number of valid lines currently held.
 func (c *Cache) ValidLines() int { return c.lines }
 
-// bump advances the LRU tick and returns it as the stored uint32.
-// Wrapping would silently invert eviction order, so it panics instead;
-// 2^32 accesses of one cache in a single trial is orders of magnitude
-// beyond any experiment (trials build fresh SoCs).
-func (c *Cache) bump() uint32 {
-	c.tick++
-	t := uint32(c.tick)
-	if t == 0 {
-		panic("cache: " + c.name + ": LRU tick wrapped uint32")
-	}
-	return t
-}
-
-func (c *Cache) setOf(line mem.LineAddr) []way {
+// setOf returns the index and ways of the line's set.
+func (c *Cache) setOf(line mem.LineAddr) (int64, []way) {
 	if c.setMask != 0 {
-		return c.sets[int64(line)&c.setMask]
+		s := int64(line) & c.setMask
+		return s, c.sets[s]
 	}
-	idx := int64(line) % c.numSets
-	if idx < 0 {
-		idx += c.numSets
+	s := int64(line) % c.numSets
+	if s < 0 {
+		s += c.numSets
 	}
-	return c.sets[idx]
+	return s, c.sets[s]
 }
 
 // Lookup returns the state of the line without touching LRU or counters.
 func (c *Cache) Lookup(line mem.LineAddr) (State, bool) {
-	set := c.setOf(line)
+	_, set := c.setOf(line)
 	for i := range set {
 		w := &set[i]
 		if w.line == line {
@@ -160,11 +148,11 @@ func (c *Cache) Lookup(line mem.LineAddr) (State, bool) {
 // refreshes LRU and returns the state; on miss it returns (Invalid,
 // false). The caller decides what to do about the miss.
 func (c *Cache) Access(line mem.LineAddr) (State, bool) {
-	set := c.setOf(line)
+	s, set := c.setOf(line)
 	for i := range set {
 		w := &set[i]
 		if w.line == line {
-			w.lru = c.bump()
+			c.rec[s].touch(i)
 			c.stats.Hits++
 			return w.state, true
 		}
@@ -179,11 +167,11 @@ func (c *Cache) Access(line mem.LineAddr) (State, bool) {
 // held before the upgrade. Equivalent to Access followed by SetState on
 // the M/E write-hit path, without the second scan.
 func (c *Cache) AccessUpgrade(line mem.LineAddr, write bool) (State, bool) {
-	set := c.setOf(line)
+	s, set := c.setOf(line)
 	for i := range set {
 		w := &set[i]
 		if w.line == line {
-			w.lru = c.bump()
+			c.rec[s].touch(i)
 			c.stats.Hits++
 			st := w.state
 			if write && (st == Modified || st == Exclusive) {
@@ -211,27 +199,18 @@ func (c *Cache) Insert(line mem.LineAddr, st State) Victim {
 	if st == Invalid {
 		panic("cache: Insert with Invalid state")
 	}
-	set := c.setOf(line)
-	tick := c.bump()
-	var lruIdx = -1
+	s, set := c.setOf(line)
+	rec := &c.rec[s]
 	for i := range set {
 		w := &set[i]
 		if w.line == line {
 			w.state = st
-			w.lru = tick
+			rec.touch(i)
 			return Victim{}
 		}
-		if w.state == Invalid {
-			if lruIdx < 0 || set[lruIdx].state != Invalid {
-				lruIdx = i
-			}
-			continue
-		}
-		if lruIdx < 0 || (set[lruIdx].state != Invalid && w.lru < set[lruIdx].lru) {
-			lruIdx = i
-		}
 	}
-	w := &set[lruIdx]
+	i := rec.victim(len(set))
+	w := &set[i]
 	var v Victim
 	if w.state != Invalid {
 		v = Victim{Line: w.line, State: w.state, Valid: true}
@@ -244,7 +223,7 @@ func (c *Cache) Insert(line mem.LineAddr, st State) Victim {
 	}
 	w.line = line
 	w.state = st
-	w.lru = tick
+	rec.fill(i)
 	return v
 }
 
@@ -252,13 +231,14 @@ func (c *Cache) Insert(line mem.LineAddr, st State) Victim {
 // line was found. SetState(Invalid) behaves like Invalidate without
 // returning dirtiness.
 func (c *Cache) SetState(line mem.LineAddr, st State) bool {
-	set := c.setOf(line)
+	s, set := c.setOf(line)
 	for i := range set {
 		w := &set[i]
 		if w.line == line {
 			if st == Invalid {
 				c.lines--
 				w.line = noLine
+				c.rec[s].drop(i)
 			}
 			w.state = st
 			return true
@@ -270,7 +250,7 @@ func (c *Cache) SetState(line mem.LineAddr, st State) bool {
 // Invalidate drops the line and reports (present, wasDirty) so the
 // caller can issue a writeback for recalled dirty data.
 func (c *Cache) Invalidate(line mem.LineAddr) (present, wasDirty bool) {
-	set := c.setOf(line)
+	s, set := c.setOf(line)
 	for i := range set {
 		w := &set[i]
 		if w.line == line {
@@ -280,6 +260,7 @@ func (c *Cache) Invalidate(line mem.LineAddr) (present, wasDirty bool) {
 			}
 			w.state = Invalid
 			w.line = noLine
+			c.rec[s].drop(i)
 			c.lines--
 			return true, wasDirty
 		}
@@ -302,7 +283,7 @@ func (c *Cache) ForEachValid(fn func(line mem.LineAddr, st State)) {
 // Downgrade moves a Modified/Exclusive line to Shared and reports
 // (present, wasDirty); a dirty line must be written back by the caller.
 func (c *Cache) Downgrade(line mem.LineAddr) (present, wasDirty bool) {
-	set := c.setOf(line)
+	_, set := c.setOf(line)
 	for i := range set {
 		w := &set[i]
 		if w.line == line {

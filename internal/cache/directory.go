@@ -105,20 +105,20 @@ type DirStats struct {
 // recall/invalidate those private copies (the victim carries the
 // bookkeeping needed to do so).
 // Entries are packed to 32 bytes and invalid ways keep Line == noLine.
-// The tag and LRU words live in dedicated parallel arrays: an 8-way
-// set's tags span one hardware cache line (instead of the four its
-// entries span), so the hit scan — the hottest loop of the LLC model —
-// touches a single line, and the miss path's victim scan adds only the
-// set's half-line of LRU ticks.
+// The tags live in a dedicated parallel array: an 8-way set's tags span
+// one hardware cache line (instead of the four its entries span), so
+// the hit scan — the hottest loop of the LLC model — touches a single
+// line. Replacement state is one recency word per set, so a hit or fill
+// updates LRU in a few register operations and the miss path picks its
+// victim without scanning the set.
 type Directory struct {
 	name    string
 	entries []DirEntry     // flat backing, numSets × assoc
 	tags    []mem.LineAddr // mirror of entries[i].Line
-	lrus    []uint32       // per-way LRU ticks
+	rec     []recency      // per-set LRU order and valid ways
 	assoc   int64
 	numSets int64
 	setMask int64 // numSets-1 when numSets is a power of two, else 0
-	tick    uint64
 	stats   DirStats
 	lines   int
 	// Occupancy summary of the partition (the coherence "region" of one
@@ -132,11 +132,10 @@ type Directory struct {
 	shared int
 }
 
-// NewDirectory creates an LLC partition of the given size/associativity.
+// NewDirectory creates an LLC partition of the given size/associativity
+// (at most 16 ways).
 func NewDirectory(name string, sizeBytes int64, assoc int) *Directory {
-	if assoc <= 0 {
-		panic("cache: associativity must be positive")
-	}
+	checkAssoc(assoc)
 	totalLines := sizeBytes / mem.LineBytes
 	if totalLines <= 0 || totalLines%int64(assoc) != 0 {
 		panic(fmt.Sprintf("cache: LLC size %d not divisible into %d-way sets", sizeBytes, assoc))
@@ -148,7 +147,7 @@ func NewDirectory(name string, sizeBytes int64, assoc int) *Directory {
 		assoc:   int64(assoc),
 		entries: make([]DirEntry, totalLines),
 		tags:    make([]mem.LineAddr, totalLines),
-		lrus:    make([]uint32, totalLines),
+		rec:     make([]recency, numSets),
 	}
 	if numSets&(numSets-1) == 0 {
 		d.setMask = numSets - 1
@@ -157,6 +156,9 @@ func NewDirectory(name string, sizeBytes int64, assoc int) *Directory {
 		d.entries[i].Line = noLine
 		d.entries[i].Owner = NoOwner
 		d.tags[i] = noLine
+	}
+	for i := range d.rec {
+		d.rec[i] = newRecency(assoc)
 	}
 	return d
 }
@@ -185,35 +187,22 @@ func (d *Directory) Sets() int64 { return d.numSets }
 // when later inserts could have intervened.
 func (d *Directory) EntryAt(way int32) *DirEntry { return &d.entries[way] }
 
-// bump advances the LRU tick and returns it as the stored uint32.
-// Wrapping would silently invert eviction order, so it panics instead;
-// 2^32 accesses of one partition in a single trial is orders of
-// magnitude beyond any experiment (trials build fresh SoCs).
-func (d *Directory) bump() uint32 {
-	d.tick++
-	t := uint32(d.tick)
-	if t == 0 {
-		panic("cache: " + d.name + ": LRU tick wrapped uint32")
-	}
-	return t
-}
-
-// setBase returns the index of the set's first way in the flat arrays.
-func (d *Directory) setBase(line mem.LineAddr) int64 {
+// setIndex returns the index of the line's set.
+func (d *Directory) setIndex(line mem.LineAddr) int64 {
 	if d.setMask != 0 {
-		return (int64(line) & d.setMask) * d.assoc
+		return int64(line) & d.setMask
 	}
 	idx := int64(line) % d.numSets
 	if idx < 0 {
 		idx += d.numSets
 	}
-	return idx * d.assoc
+	return idx
 }
 
 // Probe returns the entry for the line without counting an access, or
 // nil when absent.
 func (d *Directory) Probe(line mem.LineAddr) *DirEntry {
-	base := d.setBase(line)
+	base := d.setIndex(line) * d.assoc
 	for i := base; i < base+d.assoc; i++ {
 		if d.tags[i] == line {
 			return &d.entries[i]
@@ -225,12 +214,14 @@ func (d *Directory) Probe(line mem.LineAddr) *DirEntry {
 // Access looks the line up, counting a hit or miss and refreshing LRU on
 // hit. It returns nil on miss.
 func (d *Directory) Access(line mem.LineAddr) *DirEntry {
-	base := d.setBase(line)
-	for i := base; i < base+d.assoc; i++ {
-		if d.tags[i] == line {
-			d.lrus[i] = d.bump()
+	s := d.setIndex(line)
+	base := s * d.assoc
+	tags := d.tags[base : base+d.assoc]
+	for j := range tags {
+		if tags[j] == line {
+			d.rec[s].touch(j)
 			d.stats.Hits++
-			return &d.entries[i]
+			return &d.entries[base+int64(j)]
 		}
 	}
 	d.stats.Misses++
@@ -256,26 +247,20 @@ func (d *Directory) Insert(line mem.LineAddr, st DirState) (*DirEntry, DirVictim
 	if st == DirInvalid {
 		panic("cache: directory Insert with invalid state")
 	}
-	tick := d.bump()
-	base := d.setBase(line)
-	victim, haveInvalid := int64(-1), false
-	for i := base; i < base+d.assoc; i++ {
-		if d.tags[i] == line {
-			e := &d.entries[i]
+	s := d.setIndex(line)
+	base := s * d.assoc
+	tags := d.tags[base : base+d.assoc]
+	rec := &d.rec[s]
+	for j := range tags {
+		if tags[j] == line {
+			e := &d.entries[base+int64(j)]
 			e.State = st
-			d.lrus[i] = tick
+			rec.touch(j)
 			return e, DirVictim{}
 		}
-		// Victim preference: the first invalid way, else the LRU way.
-		if !haveInvalid {
-			if d.tags[i] == noLine {
-				victim, haveInvalid = i, true
-			} else if victim < 0 || d.lrus[i] < d.lrus[victim] {
-				victim = i
-			}
-		}
 	}
-	e := &d.entries[victim]
+	j := rec.victim(len(tags))
+	e := &d.entries[base+int64(j)]
 	var v DirVictim
 	if e.State != DirInvalid {
 		v = DirVictim{
@@ -297,43 +282,37 @@ func (d *Directory) Insert(line mem.LineAddr, st DirState) (*DirEntry, DirVictim
 		d.lines++
 	}
 	*e = DirEntry{Line: line, State: st, Owner: NoOwner}
-	d.tags[victim] = line
-	d.lrus[victim] = tick
+	tags[j] = line
+	rec.fill(j)
 	return e, v
 }
 
 // AccessOrInsert looks the line up and, on a miss, fills it with
-// missState in the same tag scan. It is exactly equivalent to Access
-// followed (on miss) by Insert, but pays one set scan instead of two:
-// the scan tracks the replacement victim while searching for the tag.
-// hit reports whether the line was already present; on a miss the
-// returned victim (if Valid) must be handled as for Insert.
+// missState. It is exactly equivalent to Access followed (on miss) by
+// Insert, but pays one set scan instead of two. hit reports whether the
+// line was already present; on a miss the returned victim (if Valid)
+// must be handled as for Insert.
 func (d *Directory) AccessOrInsert(line mem.LineAddr, missState DirState) (e *DirEntry, v DirVictim, hit bool) {
 	if missState == DirInvalid {
 		panic("cache: directory AccessOrInsert with invalid state")
 	}
-	base := d.setBase(line)
-	victim, haveInvalid := int64(-1), false
-	for i := base; i < base+d.assoc; i++ {
-		if d.tags[i] == line {
-			d.lrus[i] = d.bump()
+	s := d.setIndex(line)
+	base := s * d.assoc
+	tags := d.tags[base : base+d.assoc]
+	rec := &d.rec[s]
+	for j := range tags {
+		if tags[j] == line {
+			rec.touch(j)
 			d.stats.Hits++
-			return &d.entries[i], DirVictim{}, true
-		}
-		if !haveInvalid {
-			if d.tags[i] == noLine {
-				victim, haveInvalid = i, true
-			} else if victim < 0 || d.lrus[i] < d.lrus[victim] {
-				victim = i
-			}
+			return &d.entries[base+int64(j)], DirVictim{}, true
 		}
 	}
 	d.stats.Misses++
-	tick := d.bump()
 	// Fill inline, duplicating Insert's fill tail (keep the two in
 	// sync): this is the hottest miss path in the simulator and a shared
 	// helper is over the compiler's inline budget.
-	w := &d.entries[victim]
+	j := rec.victim(len(tags))
+	w := &d.entries[base+int64(j)]
 	if w.State != DirInvalid {
 		v = DirVictim{
 			Line:     w.Line,
@@ -354,8 +333,8 @@ func (d *Directory) AccessOrInsert(line mem.LineAddr, missState DirState) (e *Di
 		d.lines++
 	}
 	*w = DirEntry{Line: line, State: missState, Owner: NoOwner}
-	d.tags[victim] = line
-	d.lrus[victim] = tick
+	tags[j] = line
+	rec.fill(j)
 	return w, v, false
 }
 
@@ -425,7 +404,10 @@ func (d *Directory) ClearSharers(e *DirEntry) {
 
 // CheckSummary recomputes the occupancy summary from the entry array
 // and reports whether the maintained counts match (a test invariant; a
-// mismatch means some mutation bypassed the Directory methods).
+// mismatch means some mutation bypassed the Directory methods). It also
+// checks every set's replacement state: the valid-way mask must match
+// the resident tags, and the recency order must be a permutation of the
+// set's ways.
 func (d *Directory) CheckSummary() error {
 	owned, shared := 0, 0
 	for i := range d.entries {
@@ -443,6 +425,21 @@ func (d *Directory) CheckSummary() error {
 		return fmt.Errorf("cache: %s: occupancy summary drift: counted owned=%d shared=%d, maintained owned=%d shared=%d",
 			d.name, owned, shared, d.owned, d.shared)
 	}
+	for s := range d.rec {
+		rec := &d.rec[s]
+		if err := rec.check(int(d.assoc)); err != nil {
+			return fmt.Errorf("cache: %s: set %d: %v", d.name, s, err)
+		}
+		var valid uint16
+		for j, tag := range d.tags[int64(s)*d.assoc : int64(s+1)*d.assoc] {
+			if tag != noLine {
+				valid |= 1 << uint(j)
+			}
+		}
+		if valid != rec.valid {
+			return fmt.Errorf("cache: %s: set %d: valid mask %04x, resident tags say %04x", d.name, s, rec.valid, valid)
+		}
+	}
 	return nil
 }
 
@@ -459,10 +456,12 @@ func (d *Directory) ForEachValid(fn func(e *DirEntry)) {
 // Invalidate drops the line, returning its final directory state so the
 // caller can write dirty data back and invalidate private copies.
 func (d *Directory) Invalidate(line mem.LineAddr) (DirVictim, bool) {
-	base := d.setBase(line)
-	for i := base; i < base+d.assoc; i++ {
-		if d.tags[i] == line {
-			e := &d.entries[i]
+	s := d.setIndex(line)
+	base := s * d.assoc
+	tags := d.tags[base : base+d.assoc]
+	for j := range tags {
+		if tags[j] == line {
+			e := &d.entries[base+int64(j)]
 			v := DirVictim{
 				Line:     e.Line,
 				WasDirty: e.State == DirDirty,
@@ -478,7 +477,8 @@ func (d *Directory) Invalidate(line mem.LineAddr) (DirVictim, bool) {
 			e.Line = noLine
 			e.Owner = NoOwner
 			e.Sharers = 0
-			d.tags[i] = noLine
+			tags[j] = noLine
+			d.rec[s].drop(j)
 			d.lines--
 			return v, true
 		}

@@ -104,25 +104,21 @@ func (d *Directory) AccessOrInsertRun(lines []mem.LineAddr, missState DirState, 
 	}
 	cached := upd.Kind == RunCached
 	for i, line := range lines {
-		base := d.setBase(line)
-		// Hit scan first, over the set's tag subslice (bounds-checked
-		// once): hits — the hottest outcome — skip the victim
-		// bookkeeping entirely.
+		s := d.setIndex(line)
+		base := s * d.assoc
 		tags := d.tags[base : base+d.assoc]
-		way := int64(-1)
-		for j := range tags {
-			if tags[j] == line {
-				way = base + int64(j)
-				break
-			}
+		rec := &d.rec[s]
+		j := 0
+		for j < len(tags) && tags[j] != line {
+			j++
 		}
-		if way >= 0 {
-			e := &d.entries[way]
-			d.lrus[way] = d.bump()
+		if j < len(tags) {
+			e := &d.entries[base+int64(j)]
+			rec.touch(j)
 			d.stats.Hits++
 			out.HitMask |= 1 << uint(i)
 			out.Hits++
-			out.Ways = append(out.Ways, int32(way))
+			out.Ways = append(out.Ways, int32(base)+int32(j))
 			if cached {
 				if (e.Owner != NoOwner && e.Owner != upd.Self) ||
 					(upd.Write && e.Sharers != 0) {
@@ -155,25 +151,12 @@ func (d *Directory) AccessOrInsertRun(lines []mem.LineAddr, missState DirState, 
 			}
 			continue
 		}
-		// Miss: victim scan (the hit scan proved no tag match, so the
-		// first invalid way — the reference scan's preference — is final
-		// the moment it appears), then fill in place exactly as
+		// Miss: fill the set's replacement victim in place exactly as
 		// AccessOrInsert does.
-		lrus := d.lrus[base : base+d.assoc]
-		vj := 0
-		for j := 1; j < len(tags); j++ {
-			if tags[vj] == noLine {
-				break
-			}
-			if tags[j] == noLine || lrus[j] < lrus[vj] {
-				vj = j
-			}
-		}
-		way = base + int64(vj)
-		e := &d.entries[way]
+		j = rec.victim(len(tags))
+		e := &d.entries[base+int64(j)]
 		d.stats.Misses++
 		out.Misses++
-		tick := d.bump()
 		if e.State != DirInvalid {
 			v := DirVictim{
 				Line:     e.Line,
@@ -197,9 +180,9 @@ func (d *Directory) AccessOrInsertRun(lines []mem.LineAddr, missState DirState, 
 			d.lines++
 		}
 		*e = DirEntry{Line: line, State: missState, Owner: NoOwner}
-		d.tags[way] = line
-		d.lrus[way] = tick
-		out.Ways = append(out.Ways, int32(way))
+		tags[j] = line
+		rec.fill(j)
+		out.Ways = append(out.Ways, int32(base)+int32(j))
 		if cached {
 			// Write-allocate claims ownership; a read miss gets the
 			// exclusive grant (no owner, no sharers by construction) only
@@ -234,12 +217,14 @@ func (d *Directory) ProbeAt(way int32, line mem.LineAddr) *DirEntry {
 // caller would have skipped the recalls that line required.
 func (d *Directory) InvalidateRun(lines []mem.LineAddr) (dirty int64) {
 	for _, line := range lines {
-		base := d.setBase(line)
-		for i := base; i < base+d.assoc; i++ {
-			if d.tags[i] != line {
+		s := d.setIndex(line)
+		base := s * d.assoc
+		tags := d.tags[base : base+d.assoc]
+		for j := range tags {
+			if tags[j] != line {
 				continue
 			}
-			e := &d.entries[i]
+			e := &d.entries[base+int64(j)]
 			if e.Owner != NoOwner || e.Sharers != 0 {
 				panic("cache: InvalidateRun on a line with private copies")
 			}
@@ -251,7 +236,8 @@ func (d *Directory) InvalidateRun(lines []mem.LineAddr) (dirty int64) {
 			e.Line = noLine
 			e.Owner = NoOwner
 			e.Sharers = 0
-			d.tags[i] = noLine
+			tags[j] = noLine
+			d.rec[s].drop(j)
 			d.lines--
 			break
 		}
@@ -262,19 +248,19 @@ func (d *Directory) InvalidateRun(lines []mem.LineAddr) (dirty int64) {
 // AccessUpgradeRun performs AccessUpgrade for n contiguous lines,
 // appending to misses every line the caller must take to the LLC: true
 // misses, and write hits in Shared (which need an ownership upgrade).
-// State transitions, LRU ticks and hit/miss counts are exactly those of
-// the per-line loop.
+// State transitions, LRU updates and hit/miss counts are exactly those
+// of the per-line loop.
 func (c *Cache) AccessUpgradeRun(start mem.LineAddr, n int64, write bool, misses []mem.LineAddr) []mem.LineAddr {
 	for i := int64(0); i < n; i++ {
 		line := start + mem.LineAddr(i)
-		set := c.setOf(line)
+		s, set := c.setOf(line)
 		hit := false
 		for j := range set {
 			w := &set[j]
 			if w.line != line {
 				continue
 			}
-			w.lru = c.bump()
+			c.rec[s].touch(j)
 			c.stats.Hits++
 			if write {
 				if st := w.state; st == Modified || st == Exclusive {
