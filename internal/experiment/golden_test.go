@@ -80,3 +80,41 @@ func TestGoldenFigure8Report(t *testing.T) {
 		t.Errorf("Figure 8 report drifted from the pre-refactor bytes\n%s", diffAt(got, want))
 	}
 }
+
+// TestGoldenNonFullFidelity pins the screened and auto reports of both
+// grid experiments at Tiny(). The worker-count determinism tests only
+// compare a run with itself; these bytes hold every non-full path —
+// calibration, analytical training and testing, escalation and the
+// fidelity notes — against the reports the two-fidelity code produced.
+func TestGoldenNonFullFidelity(t *testing.T) {
+	for _, tc := range []struct{ exp, fid string }{
+		{"sweep", FidelityScreening},
+		{"sweep", FidelityAuto},
+		{"learners", FidelityScreening},
+		{"learners", FidelityAuto},
+	} {
+		t.Run(tc.exp+"/"+tc.fid, func(t *testing.T) {
+			fidelityTestSetup(t)
+			opt := Tiny()
+			opt.Fidelity = tc.fid
+			var got string
+			if tc.exp == "sweep" {
+				res, err := Sweep(opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got = res.Render()
+			} else {
+				res, err := Learners(opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got = res.Render()
+			}
+			name := fmt.Sprintf("golden_%s_%s_tiny.txt", tc.exp, tc.fid)
+			if want := mustGolden(t, name); got != want {
+				t.Errorf("%s report at fidelity=%s drifted from %s\n%s", tc.exp, tc.fid, name, diffAt(got, want))
+			}
+		})
+	}
+}
