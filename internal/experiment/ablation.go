@@ -34,8 +34,8 @@ func Ablation(opt Options) (*AblationResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	ctx := opt.ctx()
-	baseline, err := runApp(ctx, cfg, policy.NewFixed(soc.NonCohDMA), test, opt.Seed+3)
+	sim := simulator{opt.ctx(), cfg}
+	baseline, err := sim.run(policy.NewFixed(soc.NonCohDMA), test, opt.Seed+3)
 	if err != nil {
 		return nil, err
 	}
@@ -75,10 +75,10 @@ func Ablation(opt Options) (*AblationResult, error) {
 		if err != nil {
 			return err
 		}
-		if err := trainCohmeleon(ctx, cfg, agent, train, opt.TrainIterations, opt.Seed+7); err != nil {
+		if err := trainCohmeleon(sim, agent, train, opt.TrainIterations, opt.Seed+7); err != nil {
 			return err
 		}
-		res, err := testPolicy(ctx, cfg, agent, test, opt.Seed+3)
+		res, err := testPolicy(sim, agent, test, opt.Seed+3)
 		if err != nil {
 			return err
 		}

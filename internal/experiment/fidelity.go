@@ -10,11 +10,8 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"cohmeleon/internal/core"
 	"cohmeleon/internal/costmodel"
-	"cohmeleon/internal/esp"
 	"cohmeleon/internal/faultinject"
-	"cohmeleon/internal/learn"
 	"cohmeleon/internal/policy"
 	"cohmeleon/internal/scenario"
 	"cohmeleon/internal/soc"
@@ -22,18 +19,21 @@ import (
 )
 
 // Two-fidelity evaluation for the grid experiments (sweep, learners).
-// Full fidelity is the cycle-accurate simulator — the only mode until
-// this file existed, and still the default; its reports are
-// byte-identical to before. Screening fidelity runs every grid cell
-// through internal/costmodel's analytical estimator, calibrated by
-// least squares against cycle-accurate runs of a small pinned
-// calibration grid (drawn through the same content-keyed run store, so
-// the calibration simulations dedup and persist like any other run).
-// Auto fidelity screens first and escalates only the ambiguous cells —
-// where the analytical estimates are within the model's held-out error
-// band of the per-cell best, so the screened winner cannot be trusted —
-// back to cycle-accurate simulation. Every non-full report carries the
-// calibration's held-out error bounds.
+// Every cell is written once over the evaluator seam (harness.go);
+// fidelity only chooses the evaluator. Full fidelity, the default, is
+// the memoized cycle-accurate simulator. Screening fidelity is the
+// estimator: internal/costmodel's analytical model, calibrated by least
+// squares against cycle-accurate runs of a small pinned calibration
+// grid (drawn through the same content-keyed run store, so the
+// calibration simulations dedup and persist like any other run). Auto
+// fidelity screens first, then re-runs the contenders under the
+// simulator: the screened values within the model's held-out error band
+// of the best, wherever at least two are, so the screened winner cannot
+// be trusted. A sweep cell re-runs whole when its policies contend; a
+// learners cell re-runs when its stack contends within its scenario.
+// Every non-full report carries the calibration's held-out error
+// bounds. This file holds the calibration, the escalation rule and the
+// fidelity notes.
 
 // Fidelity mode names (Options.Fidelity; empty resolves to full).
 const (
@@ -279,21 +279,6 @@ func harvestSamples(ex *costmodel.Extractor, app *workload.App, res *workload.Ap
 	return out
 }
 
-// estimatePolicy mirrors testPolicy for the analytical path: learning
-// policies are frozen for the measurement and restored afterwards.
-func estimatePolicy(est *costmodel.Estimator, pol esp.Policy, test *workload.App) (*workload.AppResult, error) {
-	if agent, ok := pol.(freezer); ok {
-		wasFrozen := agent.Frozen()
-		agent.Freeze()
-		defer func() {
-			if !wasFrozen {
-				agent.Unfreeze()
-			}
-		}()
-	}
-	return est.Run(pol, test)
-}
-
 // escalationBand is the relative slack within which two screened
 // estimates are indistinguishable: each normalized cell value is a
 // ratio of two whole-app model estimates, so their worst-case relative
@@ -302,13 +287,13 @@ func estimatePolicy(est *costmodel.Estimator, pol esp.Policy, test *workload.App
 // invocation noise averages out in the aggregates being compared).
 func escalationBand(m *costmodel.Model) float64 { return 2 * m.Err.AggMax }
 
-// ambiguous reports whether at least two of the screened per-policy
-// exec values lie within the error band of the best — the auto-mode
-// escalation trigger: the screened winner cannot be distinguished from
-// the runner-up at the model's demonstrated accuracy.
-func ambiguous(execs []float64, band float64) bool {
+// contenders is auto mode's one escalation rule. It marks the screened
+// exec values that lie within the error band of the best, or returns
+// nil when fewer than two do: only then can the screened winner be told
+// from the runner-up at the model's demonstrated accuracy.
+func contenders(execs []float64, band float64) []bool {
 	if len(execs) < 2 {
-		return false
+		return nil
 	}
 	best := execs[0]
 	for _, e := range execs[1:] {
@@ -316,106 +301,18 @@ func ambiguous(execs []float64, band float64) bool {
 			best = e
 		}
 	}
+	marks := make([]bool, len(execs))
 	within := 0
-	for _, e := range execs {
+	for i, e := range execs {
 		if e <= best*(1+band) {
+			marks[i] = true
 			within++
 		}
 	}
-	return within >= 2
-}
-
-// screenSweepScenario is sweepScenario through the analytical model:
-// the agent trains against estimated runs, then every roster policy is
-// evaluated analytically and normalized to the analytical baseline. No
-// learner state is recorded — a screened table is trained against the
-// model, not the simulator, and Options.Validate rejects QTableSave
-// under non-full fidelity for exactly that reason.
-func screenSweepScenario(sc scenario.Scenario, opt Options, loaded *learn.TabularState, m *costmodel.Model) (sweepPerScenario, error) {
-	out := sweepPerScenario{screened: true}
-	train, err := sc.App(1000)
-	if err != nil {
-		return out, err
+	if within < 2 {
+		return nil
 	}
-	test, err := sc.App(2000)
-	if err != nil {
-		return out, err
-	}
-	pols, agent, err := sweepPolicies(sc, opt, loaded)
-	if err != nil {
-		return out, err
-	}
-	ex, err := costmodel.NewExtractor(sc.Cfg)
-	if err != nil {
-		return out, err
-	}
-	est := costmodel.NewEstimator(ex, m)
-	if err := trainAnalytic(est, agent, train, opt.TrainIterations); err != nil {
-		return out, fmt.Errorf("%s: screening training: %w", sc.Cfg.Name, err)
-	}
-	results := make([]*workload.AppResult, len(pols))
-	for i, pol := range pols {
-		res, err := estimatePolicy(est, pol, test)
-		if err != nil {
-			return out, fmt.Errorf("%s: %s: screening: %w", sc.Cfg.Name, pol.Name(), err)
-		}
-		results[i] = res
-	}
-	baseline := results[0]
-	for i, res := range results {
-		exec, mem := geoNormalized(res, baseline)
-		out.names = append(out.names, pols[i].Name())
-		out.execs = append(out.execs, exec)
-		out.mems = append(out.mems, mem)
-	}
-	out.info = SweepScenarioInfo{
-		Name:  sc.Cfg.Name,
-		MeshW: sc.Cfg.MeshW, MeshH: sc.Cfg.MeshH,
-		CPUs: sc.Cfg.CPUs, MemTiles: sc.Cfg.MemTiles,
-		LLCSliceKB: sc.Cfg.LLCSliceKB, L2KB: sc.Cfg.L2KB,
-		Accs:        len(sc.Cfg.Accs),
-		Invocations: test.Invocations(),
-	}
-	return out, nil
-}
-
-// trainAnalytic is trainCohmeleon against the estimator: same
-// unfreeze/iterate/end-iteration protocol, with each training run
-// replayed through the model instead of the simulator. Training keeps
-// no run results, so it replays through Estimator.Train.
-func trainAnalytic(est *costmodel.Estimator, agent *core.Cohmeleon, train *workload.App, iters int) error {
-	agent.Unfreeze()
-	for i := 0; i < iters; i++ {
-		if err := est.Train(agent, train); err != nil {
-			return err
-		}
-		agent.EndIteration()
-	}
-	return nil
-}
-
-// screenLearnerCell is the learners grid cell through the analytical
-// model: train the stack's agent against estimated runs, evaluate it
-// frozen analytically, normalize to the analytic baseline.
-func screenLearnerCell(sc scenario.Scenario, st LearnerStack, opt Options, est *costmodel.Estimator, train, test *workload.App, baseline *workload.AppResult) (learnerCell, error) {
-	agentCfg := agentConfig(opt)
-	agentCfg.Seed = opt.Seed + sc.Seed
-	agentCfg.Learner = st.Algorithm
-	agentCfg.Schedule = st.Schedule
-	agent, err := core.New(agentCfg)
-	if err != nil {
-		return learnerCell{}, err
-	}
-	if err := trainAnalytic(est, agent, train, opt.TrainIterations); err != nil {
-		return learnerCell{}, fmt.Errorf("%s: %s: screening training: %w", sc.Cfg.Name, st.Label(), err)
-	}
-	agent.ResetDecisions()
-	res, err := estimatePolicy(est, agent, test)
-	if err != nil {
-		return learnerCell{}, fmt.Errorf("%s: %s: screening: %w", sc.Cfg.Name, st.Label(), err)
-	}
-	exec, mem := geoNormalized(res, baseline)
-	return learnerCell{exec: exec, mem: mem, decisions: agent.Decisions(), screened: true}, nil
+	return marks
 }
 
 // fidelityNotes renders the calibration error bounds every non-full

@@ -4,6 +4,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -31,54 +32,90 @@ func screeningSweepOptions() Options {
 	return opt
 }
 
-// TestScreeningSweepDeterministicAcrossWorkers: a screened sweep report
-// must be byte-identical whether calibration and screening run
-// sequentially or on eight workers — the same property the
-// cycle-accurate harness guarantees, extended to the analytical path.
+// nonFullFidelities are the modes that run cells under the estimator.
+var nonFullFidelities = []string{FidelityScreening, FidelityAuto}
+
+// TestScreeningSweepDeterministicAcrossWorkers: a screened or auto
+// sweep report must be byte-identical whether calibration, screening
+// and escalation run sequentially or on eight workers — the same
+// property the cycle-accurate harness guarantees, extended to the
+// analytical path.
 func TestScreeningSweepDeterministicAcrossWorkers(t *testing.T) {
-	fidelityTestSetup(t)
-	render := func(workers int) string {
-		ResetRunCache() // force a fresh calibration fit under this worker count
-		opt := screeningSweepOptions()
-		opt.Workers = workers
-		rep, err := Sweep(opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep.Render()
-	}
-	seq := render(1)
-	par := render(8)
-	if seq != par {
-		t.Fatalf("screened sweep report differs between workers=1 and workers=8:\n--- seq ---\n%s\n--- par ---\n%s", seq, par)
-	}
-	if !strings.Contains(seq, "fidelity=screening") {
-		t.Fatalf("screened report missing the fidelity note:\n%s", seq)
+	for _, fid := range nonFullFidelities {
+		t.Run(fid, func(t *testing.T) {
+			fidelityTestSetup(t)
+			render := func(workers int) string {
+				ResetRunCache() // force a fresh calibration fit under this worker count
+				opt := sweepOptions()
+				opt.Fidelity = fid
+				opt.Workers = workers
+				rep, err := Sweep(opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return rep.Render()
+			}
+			seq := render(1)
+			par := render(8)
+			if seq != par {
+				t.Fatalf("%s sweep report differs between workers=1 and workers=8:\n--- seq ---\n%s\n--- par ---\n%s", fid, seq, par)
+			}
+			if !strings.Contains(seq, "fidelity="+fid) {
+				t.Fatalf("%s report missing the fidelity note:\n%s", fid, seq)
+			}
+		})
 	}
 }
 
 // TestScreeningLearnersDeterministicAcrossWorkers: the same property
-// for the learner grid's screening path.
+// for the learner grid at both non-full fidelities.
 func TestScreeningLearnersDeterministicAcrossWorkers(t *testing.T) {
-	fidelityTestSetup(t)
-	render := func(workers int) string {
-		ResetRunCache()
-		opt := learnerTestOptions()
-		opt.Fidelity = FidelityScreening
-		opt.Workers = workers
-		res, err := Learners(opt)
-		if err != nil {
-			t.Fatal(err)
+	for _, fid := range nonFullFidelities {
+		t.Run(fid, func(t *testing.T) {
+			fidelityTestSetup(t)
+			render := func(workers int) string {
+				ResetRunCache()
+				opt := learnerTestOptions()
+				opt.Fidelity = fid
+				opt.Workers = workers
+				res, err := Learners(opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res.Render()
+			}
+			seq := render(1)
+			par := render(8)
+			if seq != par {
+				t.Fatalf("%s learners report differs between workers=1 and workers=8:\n--- seq ---\n%s\n--- par ---\n%s", fid, seq, par)
+			}
+			if !strings.Contains(seq, "fidelity="+fid) {
+				t.Fatalf("%s report missing the fidelity note:\n%s", fid, seq)
+			}
+		})
+	}
+}
+
+// TestContenders pins auto mode's escalation rule: the values within
+// the band of the best are marked, and nil means there is a clear
+// winner (fewer than two values in the band).
+func TestContenders(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		execs []float64
+		band  float64
+		want  []bool
+	}{
+		{"one value", []float64{0.8}, 0.5, nil},
+		{"all tied", []float64{0.9, 0.9, 0.9}, 0.1, []bool{true, true, true}},
+		{"clear winner", []float64{0.5, 1.0, 0.9}, 0.2, nil},
+		{"zero band, tie", []float64{0.7, 0.7, 0.8}, 0, []bool{true, true, false}},
+		{"zero band, no tie", []float64{0.7, 0.71, 0.8}, 0, nil},
+		{"best at a later index", []float64{1.0, 0.95, 0.6, 0.65}, 0.1, []bool{false, false, true, true}},
+	} {
+		if got := contenders(tc.execs, tc.band); !slices.Equal(got, tc.want) || (got == nil) != (tc.want == nil) {
+			t.Errorf("%s: contenders(%v, %v) = %v, want %v", tc.name, tc.execs, tc.band, got, tc.want)
 		}
-		return res.Render()
-	}
-	seq := render(1)
-	par := render(8)
-	if seq != par {
-		t.Fatalf("screened learners report differs between workers=1 and workers=8:\n--- seq ---\n%s\n--- par ---\n%s", seq, par)
-	}
-	if !strings.Contains(seq, "fidelity=screening") {
-		t.Fatalf("screened report missing the fidelity note:\n%s", seq)
 	}
 }
 

@@ -41,9 +41,9 @@ func Figure5(opt Options) (*Fig5Result, error) {
 	// trained above) and fan out; cells are assembled in policy order
 	// against the indexed results, normalized to the first policy.
 	results := make([]*workload.AppResult, len(policies))
-	ctx := opt.ctx()
+	sim := simulator{opt.ctx(), cfg}
 	if err := forEachOpt(opt, len(policies), func(i int) error {
-		res, err := testPolicy(ctx, cfg, policies[i], test, opt.Seed+3)
+		res, err := testPolicy(sim, policies[i], test, opt.Seed+3)
 		results[i] = res
 		return err
 	}); err != nil {

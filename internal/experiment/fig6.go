@@ -66,8 +66,8 @@ func Figure6(opt Options) (*Fig6Result, error) {
 		return nil, err
 	}
 
-	ctx := opt.ctx()
-	baseline, err := runApp(ctx, cfg, policy.NewFixed(soc.NonCohDMA), test, opt.Seed+3)
+	sim := simulator{opt.ctx(), cfg}
+	baseline, err := sim.run(policy.NewFixed(soc.NonCohDMA), test, opt.Seed+3)
 	if err != nil {
 		return nil, err
 	}
@@ -109,12 +109,12 @@ func Figure6(opt Options) (*Fig6Result, error) {
 			if err != nil {
 				return err
 			}
-			if err := trainCohmeleon(ctx, cfg, agent, train, opt.Fig6TrainIterations, opt.Seed+uint64(100*mi)); err != nil {
+			if err := trainCohmeleon(sim, agent, train, opt.Fig6TrainIterations, opt.Seed+uint64(100*mi)); err != nil {
 				return err
 			}
 			pol, label, wlabel = agent, "cohmeleon", w.String()
 		}
-		res, err := testPolicy(ctx, cfg, pol, test, opt.Seed+3)
+		res, err := testPolicy(sim, pol, test, opt.Seed+3)
 		if err != nil {
 			return err
 		}

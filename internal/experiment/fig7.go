@@ -45,9 +45,9 @@ func Figure7(opt Options) (*Fig7Result, error) {
 	// run concurrently; rows are tallied in paper order afterwards.
 	pols := []esp.Policy{agent, manual}
 	results := make([]*workload.AppResult, len(pols))
-	ctx := opt.ctx()
+	sim := simulator{opt.ctx(), cfg}
 	if err := forEachOpt(opt, len(pols), func(i int) error {
-		res, err := testPolicy(ctx, cfg, pols[i], test, opt.Seed+3)
+		res, err := testPolicy(sim, pols[i], test, opt.Seed+3)
 		results[i] = res
 		return err
 	}); err != nil {

@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"cohmeleon/internal/core"
+	"cohmeleon/internal/costmodel"
 	"cohmeleon/internal/esp"
 	"cohmeleon/internal/mem"
 	"cohmeleon/internal/policy"
@@ -88,13 +89,62 @@ func simulateApp(cfg *soc.Config, pol esp.Policy, app *workload.App, seed uint64
 	return res, err
 }
 
+// evaluator runs whole applications at one fidelity. Training, frozen
+// testing and both grid cells are written once over it; fidelity is
+// only the choice of implementation — simulator (cycle-accurate,
+// memoized) or estimator (the calibrated analytical model).
+type evaluator interface {
+	// run measures pol on app and returns the result.
+	run(pol esp.Policy, app *workload.App, seed uint64) (*workload.AppResult, error)
+	// train runs pol on app for the policy's sake alone: the result is
+	// discarded, so an implementation may skip building it.
+	train(pol esp.Policy, app *workload.App, seed uint64) error
+}
+
+// simulator evaluates on a fresh SoC of cfg through runApp.
+type simulator struct {
+	ctx context.Context
+	cfg *soc.Config
+}
+
+func (s simulator) run(pol esp.Policy, app *workload.App, seed uint64) (*workload.AppResult, error) {
+	return runApp(s.ctx, s.cfg, pol, app, seed)
+}
+
+func (s simulator) train(pol esp.Policy, app *workload.App, seed uint64) error {
+	_, err := runApp(s.ctx, s.cfg, pol, app, seed)
+	return err
+}
+
+// estimator evaluates through the analytical model. The model is
+// deterministic and draws no randomness, so the seed is ignored.
+// Training replays through the record-free Estimator.Train.
+type estimator struct{ est *costmodel.Estimator }
+
+// newEstimator pairs the fitted model with cfg's feature extractor.
+func newEstimator(cfg *soc.Config, m *costmodel.Model) (estimator, error) {
+	ex, err := costmodel.NewExtractor(cfg)
+	if err != nil {
+		return estimator{}, err
+	}
+	return estimator{costmodel.NewEstimator(ex, m)}, nil
+}
+
+func (e estimator) run(pol esp.Policy, app *workload.App, _ uint64) (*workload.AppResult, error) {
+	return e.est.Run(pol, app)
+}
+
+func (e estimator) train(pol esp.Policy, app *workload.App, _ uint64) error {
+	return e.est.Train(pol, app)
+}
+
 // trainCohmeleon runs the agent through iters training iterations of the
 // training application (fresh SoC each iteration, as each FPGA run
 // reboots the platform but the learned table persists).
-func trainCohmeleon(ctx context.Context, cfg *soc.Config, agent *core.Cohmeleon, train *workload.App, iters int, seed uint64) error {
+func trainCohmeleon(ev evaluator, agent *core.Cohmeleon, train *workload.App, iters int, seed uint64) error {
 	agent.Unfreeze()
 	for i := 0; i < iters; i++ {
-		if _, err := runApp(ctx, cfg, agent, train, seed+uint64(i)); err != nil {
+		if err := ev.train(agent, train, seed+uint64(i)); err != nil {
 			return err
 		}
 		agent.EndIteration()
@@ -114,7 +164,7 @@ type freezer interface {
 
 // testPolicy evaluates a policy on the test application; learning
 // policies are frozen for the measurement and restored afterwards.
-func testPolicy(ctx context.Context, cfg *soc.Config, pol esp.Policy, test *workload.App, seed uint64) (*workload.AppResult, error) {
+func testPolicy(ev evaluator, pol esp.Policy, test *workload.App, seed uint64) (*workload.AppResult, error) {
 	if agent, ok := pol.(freezer); ok {
 		wasFrozen := agent.Frozen()
 		agent.Freeze()
@@ -124,7 +174,7 @@ func testPolicy(ctx context.Context, cfg *soc.Config, pol esp.Policy, test *work
 			}
 		}()
 	}
-	return runApp(ctx, cfg, pol, test, seed)
+	return ev.run(pol, test, seed)
 }
 
 // profileHeterogeneous derives the fixed-heterogeneous assignment the
@@ -270,7 +320,7 @@ func policySet(cfg *soc.Config, opt Options, weights core.RewardWeights) ([]esp.
 	var het *policy.FixedHeterogeneous
 	if err := forEachOpt(opt, 2, func(i int) error {
 		if i == 0 {
-			return trainCohmeleon(opt.ctx(), cfg, agent, train, opt.TrainIterations, opt.Seed+7)
+			return trainCohmeleon(simulator{opt.ctx(), cfg}, agent, train, opt.TrainIterations, opt.Seed+7)
 		}
 		var err error
 		het, err = profileHeterogeneous(cfg, opt)

@@ -186,91 +186,94 @@ func Learners(opt Options) (*LearnersResult, error) {
 
 	// Stage 1: per scenario, generate the (deterministic) training and
 	// test applications once — every stack reuses them read-only, like
-	// fig7's concurrent trials share one test app — and run the
-	// normalization baseline. At full fidelity the baseline is the
-	// cycle-accurate run it always was; otherwise it is analytical (a
-	// screened cell must normalize against the same model that produced
-	// it), and escalated auto cells fetch the cycle-accurate baseline
-	// lazily through the memoized run path, deduped across cells.
+	// fig7's concurrent trials share one test app — pick the scenario's
+	// evaluator, and run the normalization baseline under it: a screened
+	// cell must normalize against the same model that produced it.
+	// Escalated auto cells fetch the cycle-accurate baseline lazily
+	// through the memoized run path, deduped across cells.
 	type prep struct {
 		train, test *workload.App
+		ev          evaluator
 		baseline    *workload.AppResult
-		est         *costmodel.Estimator
 	}
 	preps := make([]prep, len(scens))
 	if err := forEachOpt(opt, len(scens), func(i int) error {
 		sc := scens[i]
-		train, err := sc.App(1000)
-		if err != nil {
+		p := &preps[i]
+		var err error
+		if p.train, err = sc.App(1000); err != nil {
 			return err
 		}
-		test, err := sc.App(2000)
-		if err != nil {
+		if p.test, err = sc.App(2000); err != nil {
 			return err
 		}
-		p := prep{train: train, test: test}
 		if fid == FidelityFull {
-			p.baseline, err = runApp(ctx, sc.Cfg, policy.NewFixed(soc.NonCohDMA), test, sc.Seed+3)
-		} else {
-			var ex *costmodel.Extractor
-			if ex, err = costmodel.NewExtractor(sc.Cfg); err == nil {
-				p.est = costmodel.NewEstimator(ex, model)
-				p.baseline, err = p.est.Run(policy.NewFixed(soc.NonCohDMA), test)
-			}
+			p.ev = simulator{ctx, sc.Cfg}
+		} else if p.ev, err = newEstimator(sc.Cfg, model); err != nil {
+			return err
 		}
-		preps[i] = p
+		p.baseline, err = p.ev.run(policy.NewFixed(soc.NonCohDMA), p.test, sc.Seed+3)
 		return err
 	}); err != nil {
 		return nil, err
 	}
 
-	// Auto pre-pass: screen every cell analytically, then — serially, in
-	// index order, so the decision is identical for any worker count —
-	// mark for escalation every cell whose screened estimate sits within
-	// the model's error band of its scenario's best, wherever the band
-	// holds at least two contenders. Cells outside the band keep their
-	// screened values; the contenders re-run cycle-accurately below.
+	// trial trains one stack's agent under ev and measures it frozen,
+	// normalized to baseline. Seeds mirror the sweep's per-scenario
+	// derivation, so the "q+linear" row of a 1-scenario run matches the
+	// sweep's "cohmeleon" measurement on the same scenario.
+	trial := func(ev evaluator, i int, baseline *workload.AppResult) (learnerCell, error) {
+		si, ki := i/len(stacks), i%len(stacks)
+		sc, st, p := scens[si], stacks[ki], &preps[si]
+		agentCfg := agentConfig(opt)
+		agentCfg.Seed = opt.Seed + sc.Seed
+		agentCfg.Learner = st.Algorithm
+		agentCfg.Schedule = st.Schedule
+		agent, err := core.New(agentCfg)
+		if err != nil {
+			return learnerCell{}, err
+		}
+		if err := trainCohmeleon(ev, agent, p.train, opt.TrainIterations, sc.Seed+7); err != nil {
+			return learnerCell{}, fmt.Errorf("%s: %s: training: %w", sc.Cfg.Name, st.Label(), err)
+		}
+		agent.ResetDecisions()
+		res, err := testPolicy(ev, agent, p.test, sc.Seed+3)
+		if err != nil {
+			return learnerCell{}, fmt.Errorf("%s: %s: %w", sc.Cfg.Name, st.Label(), err)
+		}
+		exec, mem := geoNormalized(res, baseline)
+		return learnerCell{exec: exec, mem: mem, decisions: agent.Decisions(), screened: fid != FidelityFull}, nil
+	}
+
+	// Auto pre-pass: screen every cell, then — serially, in index order,
+	// so the decision is identical for any worker count — mark each
+	// scenario's contenders for escalation. Cells outside the band keep
+	// their screened values; the contenders re-run under the simulator
+	// below.
 	cells := make([]learnerCell, len(scens)*len(stacks))
 	escalate := make([]bool, len(cells))
 	var screened []learnerCell
 	if fid == FidelityAuto {
 		screened = make([]learnerCell, len(cells))
 		if err := forEachOpt(opt, len(cells), func(i int) error {
-			si, ki := i/len(stacks), i%len(stacks)
 			var err error
-			screened[i], err = screenLearnerCell(scens[si], stacks[ki], opt, preps[si].est,
-				preps[si].train, preps[si].test, preps[si].baseline)
+			screened[i], err = trial(preps[i/len(stacks)].ev, i, preps[i/len(stacks)].baseline)
 			fidelityCounters.screened.Add(1)
 			return err
 		}); err != nil {
 			return nil, err
 		}
 		band := escalationBand(model)
+		execs := make([]float64, len(stacks))
 		for si := range scens {
-			execs := make([]float64, len(stacks))
 			for ki := range stacks {
 				execs[ki] = screened[si*len(stacks)+ki].exec
 			}
-			if !ambiguous(execs, band) {
-				continue
-			}
-			best := execs[0]
-			for _, e := range execs[1:] {
-				if e < best {
-					best = e
-				}
-			}
-			for ki := range stacks {
-				if execs[ki] <= best*(1+band) {
-					escalate[si*len(stacks)+ki] = true
-				}
-			}
+			copy(escalate[si*len(stacks):], contenders(execs, band))
 		}
 	}
 
-	// Stage 2: the full grid. Seeds mirror the sweep's per-scenario
-	// derivation, so the "q+linear" row of a 1-scenario run matches the
-	// sweep's "cohmeleon" measurement on the same scenario.
+	// Stage 2: the full grid.
 	loadCell := func(i int) bool {
 		var img learnerCellImage
 		if !ck.load(i, &img) {
@@ -282,48 +285,32 @@ func Learners(opt Options) (*LearnersResult, error) {
 		return true
 	}
 	computeCell := func(i int) error {
-		si, ki := i/len(stacks), i%len(stacks)
-		sc, st := scens[si], stacks[ki]
-		train, test := preps[si].train, preps[si].test
+		p := &preps[i/len(stacks)]
+		var err error
 		switch {
-		case fid == FidelityScreening:
-			cell, err := screenLearnerCell(sc, st, opt, preps[si].est, train, test, preps[si].baseline)
-			if err != nil {
-				return err
-			}
-			fidelityCounters.screened.Add(1)
-			cells[i] = cell
 		case fid == FidelityAuto && !escalate[i]:
 			cells[i] = screened[i]
-		default:
-			agentCfg := agentConfig(opt)
-			agentCfg.Seed = opt.Seed + sc.Seed
-			agentCfg.Learner = st.Algorithm
-			agentCfg.Schedule = st.Schedule
-			agent, err := core.New(agentCfg)
-			if err != nil {
+		case fid == FidelityAuto:
+			// Escalated: cycle-accurate values need the cycle-accurate
+			// baseline (memoized, shared across cells).
+			sc := scens[i/len(stacks)]
+			sim := simulator{ctx, sc.Cfg}
+			var baseline *workload.AppResult
+			if baseline, err = sim.run(policy.NewFixed(soc.NonCohDMA), p.test, sc.Seed+3); err != nil {
+				return fmt.Errorf("%s: %s: baseline: %w", sc.Cfg.Name, stacks[i%len(stacks)].Label(), err)
+			}
+			if cells[i], err = trial(sim, i, baseline); err != nil {
 				return err
 			}
-			if err := trainCohmeleon(ctx, sc.Cfg, agent, train, opt.TrainIterations, sc.Seed+7); err != nil {
-				return fmt.Errorf("%s: %s: training: %w", sc.Cfg.Name, st.Label(), err)
+			cells[i].escalated = true
+			fidelityCounters.escalated.Add(1)
+		default:
+			if cells[i], err = trial(p.ev, i, p.baseline); err != nil {
+				return err
 			}
-			agent.ResetDecisions()
-			res, err := testPolicy(ctx, sc.Cfg, agent, test, sc.Seed+3)
-			if err != nil {
-				return fmt.Errorf("%s: %s: %w", sc.Cfg.Name, st.Label(), err)
+			if fid == FidelityScreening {
+				fidelityCounters.screened.Add(1)
 			}
-			baseline := preps[si].baseline
-			if fid != FidelityFull {
-				// Escalated cell: cycle-accurate values need the
-				// cycle-accurate baseline (memoized, shared across cells).
-				if baseline, err = runApp(ctx, sc.Cfg, policy.NewFixed(soc.NonCohDMA), test, sc.Seed+3); err != nil {
-					return fmt.Errorf("%s: %s: baseline: %w", sc.Cfg.Name, st.Label(), err)
-				}
-				fidelityCounters.escalated.Add(1)
-			}
-			exec, mem := geoNormalized(res, baseline)
-			cells[i] = learnerCell{exec: exec, mem: mem, decisions: agent.Decisions(),
-				screened: fid != FidelityFull, escalated: fid != FidelityFull}
 		}
 		ck.save(i, &learnerCellImage{Exec: cells[i].exec, Mem: cells[i].mem,
 			Decisions: cells[i].decisions, Screened: cells[i].screened, Escalated: cells[i].escalated})
@@ -360,15 +347,8 @@ func Learners(opt Options) (*LearnersResult, error) {
 		}
 		out.Rows = append(out.Rows, row)
 	}
-	for si := range scens {
-		sc := scens[si]
-		out.Scenarios = append(out.Scenarios, SweepScenarioInfo{
-			Name:  sc.Cfg.Name,
-			MeshW: sc.Cfg.MeshW, MeshH: sc.Cfg.MeshH,
-			CPUs: sc.Cfg.CPUs, MemTiles: sc.Cfg.MemTiles,
-			LLCSliceKB: sc.Cfg.LLCSliceKB, L2KB: sc.Cfg.L2KB,
-			Accs: len(sc.Cfg.Accs),
-		})
+	for si, sc := range scens {
+		out.Scenarios = append(out.Scenarios, scenarioInfo(sc, preps[si].test.Invocations()))
 	}
 	if fid != FidelityFull {
 		escalated := 0

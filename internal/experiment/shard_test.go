@@ -34,72 +34,79 @@ func sharedSweepOptions(worker string) Options {
 // over one cache dir must each assemble the complete grid and render
 // the exact report of a plain single-process run, with a store that
 // fscks clean, no duplicated compute beyond reclaims/fallbacks, and no
-// lease files left behind.
+// lease files left behind — at full and at screening fidelity.
 func TestSharedSweepTwoWorkersByteIdentical(t *testing.T) {
-	resumeTestSetup(t)
-	opt := sharedSweepOptions("")
-	opt.Shared = false
-	opt.WorkerID = ""
-	ref, err := Sweep(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refText := ref.Render()
-
-	dir := t.TempDir()
-	ResetRunCache()
-	ResetCheckpointStats()
-	if err := SetRunCacheDir(dir); err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	reports := make([]string, 2)
-	errs := make([]error, 2)
-	for w := 0; w < 2; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			res, err := Sweep(sharedSweepOptions([]string{"w1", "w2"}[w]))
+	for _, fid := range []string{FidelityFull, FidelityScreening} {
+		t.Run(fid, func(t *testing.T) {
+			resumeTestSetup(t)
+			opt := sharedSweepOptions("")
+			opt.Shared = false
+			opt.WorkerID = ""
+			opt.Fidelity = fid
+			ref, err := Sweep(opt)
 			if err != nil {
-				errs[w] = err
-				return
+				t.Fatal(err)
 			}
-			reports[w] = res.Render()
-		}(w)
-	}
-	wg.Wait()
-	for w, err := range errs {
-		if err != nil {
-			t.Fatalf("worker %d: %v", w, err)
-		}
-	}
-	for w, got := range reports {
-		if got != refText {
-			t.Errorf("worker %d report differs from single-process run:\n--- want ---\n%s\n--- got ---\n%s", w, refText, got)
-		}
-	}
-	// Both live workers heartbeat faster than the TTL, so no reclaim may
-	// have happened, and cells must not have been computed twice: cells
-	// saved is exactly the grid (every save after the first would need a
-	// reclaimed or fallback claim on an unpublished cell).
-	st := GetLeaseStats()
-	if st.Reclaimed != 0 || st.Expired != 0 || st.Lost != 0 || st.Fallbacks != 0 {
-		t.Errorf("live workers tripped failure paths: %+v", st)
-	}
-	if ck := GetCheckpointStats(); ck.Saved != int64(opt.SweepScenarios) {
-		t.Errorf("cells saved = %d, want %d (each cell computed exactly once across workers)",
-			ck.Saved, opt.SweepScenarios)
-	}
-	v, err := VerifyRunCache(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !v.Clean() {
-		t.Errorf("fsck not clean: %v", v)
-	}
-	// Every lease released: the leases tree holds no live lease files.
-	if left, _ := filepath.Glob(filepath.Join(leaseRoot(dir), "*", "*.lease")); len(left) != 0 {
-		t.Errorf("leases left behind after a clean run: %v", left)
+			refText := ref.Render()
+
+			dir := t.TempDir()
+			ResetRunCache()
+			ResetCheckpointStats()
+			if err := SetRunCacheDir(dir); err != nil {
+				t.Fatal(err)
+			}
+			var wg sync.WaitGroup
+			reports := make([]string, 2)
+			errs := make([]error, 2)
+			for w := 0; w < 2; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					o := sharedSweepOptions([]string{"w1", "w2"}[w])
+					o.Fidelity = fid
+					res, err := Sweep(o)
+					if err != nil {
+						errs[w] = err
+						return
+					}
+					reports[w] = res.Render()
+				}(w)
+			}
+			wg.Wait()
+			for w, err := range errs {
+				if err != nil {
+					t.Fatalf("worker %d: %v", w, err)
+				}
+			}
+			for w, got := range reports {
+				if got != refText {
+					t.Errorf("worker %d report differs from single-process run:\n--- want ---\n%s\n--- got ---\n%s", w, refText, got)
+				}
+			}
+			// Both live workers heartbeat faster than the TTL, so no reclaim may
+			// have happened, and cells must not have been computed twice: cells
+			// saved is exactly the grid (every save after the first would need a
+			// reclaimed or fallback claim on an unpublished cell).
+			st := GetLeaseStats()
+			if st.Reclaimed != 0 || st.Expired != 0 || st.Lost != 0 || st.Fallbacks != 0 {
+				t.Errorf("live workers tripped failure paths: %+v", st)
+			}
+			if ck := GetCheckpointStats(); ck.Saved != int64(opt.SweepScenarios) {
+				t.Errorf("cells saved = %d, want %d (each cell computed exactly once across workers)",
+					ck.Saved, opt.SweepScenarios)
+			}
+			v, err := VerifyRunCache(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !v.Clean() {
+				t.Errorf("fsck not clean: %v", v)
+			}
+			// Every lease released: the leases tree holds no live lease files.
+			if left, _ := filepath.Glob(filepath.Join(leaseRoot(dir), "*", "*.lease")); len(left) != 0 {
+				t.Errorf("leases left behind after a clean run: %v", left)
+			}
+		})
 	}
 }
 
@@ -257,56 +264,61 @@ func TestSharedSweepUnderFaults(t *testing.T) {
 }
 
 // TestSharedLearnersTwoWorkersByteIdentical: the learners grid shards
-// the same way the sweep does.
+// the same way the sweep does, at full and at screening fidelity.
 func TestSharedLearnersTwoWorkersByteIdentical(t *testing.T) {
-	resumeTestSetup(t)
-	base := Tiny()
-	base.LearnerScenarios = 2
-	ref, err := Learners(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refText := ref.Render()
-
-	dir := t.TempDir()
-	ResetRunCache()
-	ResetCheckpointStats()
-	if err := SetRunCacheDir(dir); err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	reports := make([]string, 2)
-	errs := make([]error, 2)
-	for w := 0; w < 2; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			o := base
-			o.Shared = true
-			o.WorkerID = []string{"w1", "w2"}[w]
-			o.LeaseTTL = 2 * time.Second
-			o.LeaseHeartbeat = 100 * time.Millisecond
-			res, err := Learners(o)
+	for _, fid := range []string{FidelityFull, FidelityScreening} {
+		t.Run(fid, func(t *testing.T) {
+			resumeTestSetup(t)
+			base := Tiny()
+			base.LearnerScenarios = 2
+			base.Fidelity = fid
+			ref, err := Learners(base)
 			if err != nil {
-				errs[w] = err
-				return
+				t.Fatal(err)
 			}
-			reports[w] = res.Render()
-		}(w)
-	}
-	wg.Wait()
-	for w, err := range errs {
-		if err != nil {
-			t.Fatalf("worker %d: %v", w, err)
-		}
-	}
-	for w, got := range reports {
-		if got != refText {
-			t.Errorf("worker %d learners report differs from single-process run:\n--- want ---\n%s\n--- got ---\n%s", w, refText, got)
-		}
-	}
-	if v, err := VerifyRunCache(dir); err != nil || !v.Clean() {
-		t.Errorf("fsck = (%v, %v), want clean", v, err)
+			refText := ref.Render()
+
+			dir := t.TempDir()
+			ResetRunCache()
+			ResetCheckpointStats()
+			if err := SetRunCacheDir(dir); err != nil {
+				t.Fatal(err)
+			}
+			var wg sync.WaitGroup
+			reports := make([]string, 2)
+			errs := make([]error, 2)
+			for w := 0; w < 2; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					o := base
+					o.Shared = true
+					o.WorkerID = []string{"w1", "w2"}[w]
+					o.LeaseTTL = 2 * time.Second
+					o.LeaseHeartbeat = 100 * time.Millisecond
+					res, err := Learners(o)
+					if err != nil {
+						errs[w] = err
+						return
+					}
+					reports[w] = res.Render()
+				}(w)
+			}
+			wg.Wait()
+			for w, err := range errs {
+				if err != nil {
+					t.Fatalf("worker %d: %v", w, err)
+				}
+			}
+			for w, got := range reports {
+				if got != refText {
+					t.Errorf("worker %d learners report differs from single-process run:\n--- want ---\n%s\n--- got ---\n%s", w, refText, got)
+				}
+			}
+			if v, err := VerifyRunCache(dir); err != nil || !v.Clean() {
+				t.Errorf("fsck = (%v, %v), want clean", v, err)
+			}
+		})
 	}
 }
 

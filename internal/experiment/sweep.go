@@ -146,32 +146,33 @@ func sweepPolicies(sc scenario.Scenario, opt Options, loaded *learn.TabularState
 	return pols, agent, nil
 }
 
-// sweepScenario trains and measures one scenario: the agent learns on
-// the scenario's training application, then every policy runs the test
-// application on a fresh SoC. All seeds derive from the scenario, so
-// the outcome is independent of which worker runs it.
-func sweepScenario(ctx context.Context, sc scenario.Scenario, opt Options, loaded *learn.TabularState) (sweepPerScenario, error) {
+// sweepScenario trains and measures one scenario under ev: the agent
+// learns on the scenario's training application, then every policy runs
+// the test application, normalized to the first. All seeds derive from
+// the scenario, so the outcome is independent of which worker runs it.
+// The trained agent is returned for the caller to snapshot.
+func sweepScenario(ev evaluator, sc scenario.Scenario, opt Options, loaded *learn.TabularState) (sweepPerScenario, *core.Cohmeleon, error) {
 	out := sweepPerScenario{}
 	train, err := sc.App(1000)
 	if err != nil {
-		return out, err
+		return out, nil, err
 	}
 	test, err := sc.App(2000)
 	if err != nil {
-		return out, err
+		return out, nil, err
 	}
 	pols, agent, err := sweepPolicies(sc, opt, loaded)
 	if err != nil {
-		return out, err
+		return out, nil, err
 	}
-	if err := trainCohmeleon(ctx, sc.Cfg, agent, train, opt.TrainIterations, sc.Seed+7); err != nil {
-		return out, fmt.Errorf("%s: training: %w", sc.Cfg.Name, err)
+	if err := trainCohmeleon(ev, agent, train, opt.TrainIterations, sc.Seed+7); err != nil {
+		return out, nil, fmt.Errorf("%s: training: %w", sc.Cfg.Name, err)
 	}
 	results := make([]*workload.AppResult, len(pols))
 	for i, pol := range pols {
-		res, err := testPolicy(ctx, sc.Cfg, pol, test, sc.Seed+3)
+		res, err := testPolicy(ev, pol, test, sc.Seed+3)
 		if err != nil {
-			return out, fmt.Errorf("%s: %s: %w", sc.Cfg.Name, pol.Name(), err)
+			return out, nil, fmt.Errorf("%s: %s: %w", sc.Cfg.Name, pol.Name(), err)
 		}
 		results[i] = res
 	}
@@ -182,42 +183,55 @@ func sweepScenario(ctx context.Context, sc scenario.Scenario, opt Options, loade
 		out.execs = append(out.execs, exec)
 		out.mems = append(out.mems, mem)
 	}
-	out.state = agent.LearnerState()
-	out.info = SweepScenarioInfo{
+	out.info = scenarioInfo(sc, test.Invocations())
+	return out, agent, nil
+}
+
+// scenarioInfo summarizes a scenario for a report's inventory.
+func scenarioInfo(sc scenario.Scenario, invocations int) SweepScenarioInfo {
+	return SweepScenarioInfo{
 		Name:  sc.Cfg.Name,
 		MeshW: sc.Cfg.MeshW, MeshH: sc.Cfg.MeshH,
 		CPUs: sc.Cfg.CPUs, MemTiles: sc.Cfg.MemTiles,
 		LLCSliceKB: sc.Cfg.LLCSliceKB, L2KB: sc.Cfg.L2KB,
 		Accs:        len(sc.Cfg.Accs),
-		Invocations: test.Invocations(),
+		Invocations: invocations,
 	}
-	return out, nil
 }
 
-// sweepCell evaluates one scenario at the requested fidelity. Full runs
-// the cycle-accurate sweepScenario unchanged. Screening runs everything
-// through the analytical model. Auto screens first, then — when the
-// screened per-policy execs are too close to call at the model's
-// demonstrated accuracy — discards the estimate and re-runs the cell
-// cycle-accurately, so escalated cells carry exact full-fidelity values.
+// sweepCell evaluates one scenario at the requested fidelity; the
+// fidelity only picks the evaluator. Full runs the simulator and keeps
+// the trained agent's learner state (the only state Q-table export may
+// merge). Screening runs the estimator. Auto screens first, then — when
+// the screened per-policy execs hold contenders too close to call at
+// the model's demonstrated accuracy — discards the estimate and re-runs
+// the cell under the simulator, so escalated cells carry exact
+// full-fidelity values.
 func sweepCell(ctx context.Context, sc scenario.Scenario, opt Options, loaded *learn.TabularState, fid string, model *costmodel.Model) (sweepPerScenario, error) {
+	sim := simulator{ctx, sc.Cfg}
 	if fid == FidelityFull {
-		return sweepScenario(ctx, sc, opt, loaded)
+		out, agent, err := sweepScenario(sim, sc, opt, loaded)
+		if err == nil {
+			out.state = agent.LearnerState()
+		}
+		return out, err
 	}
-	res, err := screenSweepScenario(sc, opt, loaded, model)
+	est, err := newEstimator(sc.Cfg, model)
 	if err != nil {
-		return res, err
+		return sweepPerScenario{}, err
+	}
+	out, _, err := sweepScenario(est, sc, opt, loaded)
+	if err != nil {
+		return out, err
 	}
 	fidelityCounters.screened.Add(1)
-	if fid == FidelityAuto && ambiguous(res.execs, escalationBand(model)) {
+	if fid == FidelityAuto && contenders(out.execs, escalationBand(model)) != nil {
 		fidelityCounters.escalated.Add(1)
-		full, err := sweepScenario(ctx, sc, opt, loaded)
-		full.screened = true
-		full.escalated = true
-		full.state = nil // non-full fidelity never exports learner state
-		return full, err
+		out, _, err = sweepScenario(sim, sc, opt, loaded)
+		out.escalated = true
 	}
-	return res, nil
+	out.screened = true
+	return out, err
 }
 
 // sweepParamHash fingerprints every input that determines a sweep
