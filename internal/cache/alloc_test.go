@@ -58,6 +58,7 @@ func TestZeroAllocCacheRun(t *testing.T) {
 	misses := make([]mem.LineAddr, 0, 16)
 	victims := make([]Victim, 0, 16)
 	lines := make([]mem.LineAddr, 16)
+	hints := make([]int32, 16)
 	next := mem.LineAddr(0)
 	got := testing.AllocsPerRun(100, func() {
 		for i := range lines {
@@ -65,7 +66,7 @@ func TestZeroAllocCacheRun(t *testing.T) {
 		}
 		next += 16
 		misses = c.AccessUpgradeRun(lines[0], 16, true, misses[:0])
-		victims = c.InsertRun(lines, Modified, victims[:0])
+		victims = c.InsertRun(lines, Modified, hints, victims[:0])
 	})
 	if got != 0 {
 		t.Fatalf("AccessUpgradeRun+InsertRun allocate %.1f per run, want 0", got)

@@ -16,7 +16,7 @@ const benchLines = 64 << 10 // working set larger than the structures
 func BenchmarkCacheAccessHit(b *testing.B) {
 	c := New("l2", 64<<10, 4)
 	for l := mem.LineAddr(0); l < 1024; l++ {
-		c.Insert(l, Exclusive)
+		c.Insert(l, Exclusive, -1)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -28,7 +28,7 @@ func BenchmarkCacheInsertThrash(b *testing.B) {
 	c := New("l2", 64<<10, 4)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.Insert(mem.LineAddr(i&(benchLines-1)), Modified)
+		c.Insert(mem.LineAddr(i&(benchLines-1)), Modified, -1)
 	}
 }
 
@@ -97,6 +97,33 @@ func BenchmarkDirectoryRunThrash(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		d.AccessOrInsertRun(benchRun(lines, mem.LineAddr(i*16&(benchLines-1))), DirDirty, upd, &run)
+	}
+}
+
+// BenchmarkDirectoryRunMixed times 16-line DMA runs at random group
+// offsets over three times the partition's capacity: about a third of
+// the lines hit, at ways no branch predictor can guess, and the misses
+// evict dirty victims — the sweep's mix, where neither an early-exit
+// scan nor a victim branch is predictable.
+func BenchmarkDirectoryRunMixed(b *testing.B) {
+	d := NewDirectory("llc", 512<<10, 8)
+	groups := 3 * d.SizeBytes() / mem.LineBytes / 16
+	lines := make([]mem.LineAddr, 16)
+	upd := RunUpdate{Kind: RunDMA, Write: true}
+	var run DirRun
+	rng := uint64(1)
+	next := func() mem.LineAddr {
+		rng ^= rng << 13
+		rng ^= rng >> 7
+		rng ^= rng << 17
+		return mem.LineAddr(rng%uint64(groups)) * 16
+	}
+	for i := int64(0); i < 4*groups; i++ {
+		d.AccessOrInsertRun(benchRun(lines, next()), DirDirty, upd, &run)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d.AccessOrInsertRun(benchRun(lines, next()), DirDirty, upd, &run)
 	}
 }
 

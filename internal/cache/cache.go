@@ -9,6 +9,7 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
 
 	"cohmeleon/internal/mem"
 )
@@ -51,9 +52,16 @@ func (s State) Valid() bool { return s != Invalid }
 // simulator's hottest loop. Invalid ways keep line == noLine so the hit
 // scan needs only the tag compare (valid lines are never negative). LRU
 // state lives in the set's recency word.
+//
+// llcWay is the hint the line was filled with: the index of its entry in
+// the home LLC partition (Directory.ProbeAt's way argument), or -1. It
+// sits in the padding after state and is only ever read back through
+// ProbeAt, which revalidates it, so a stale hint costs a set scan, never
+// a wrong answer.
 type way struct {
-	line  mem.LineAddr
-	state State
+	line   mem.LineAddr
+	state  State
+	llcWay int32
 }
 
 // noLine is the tag stored in invalid ways; no allocated line address is
@@ -72,8 +80,9 @@ type Stats struct {
 // private cache in ESP terms) with LRU replacement.
 type Cache struct {
 	name    string
-	sets    [][]way
+	ways    []way     // flat backing, numSets × assoc
 	rec     []recency // per-set LRU order and valid ways
+	assoc   int64
 	numSets int64
 	setMask int64 // numSets-1 when numSets is a power of two, else 0
 	stats   Stats
@@ -90,16 +99,20 @@ func New(name string, sizeBytes int64, assoc int) *Cache {
 		panic(fmt.Sprintf("cache: size %d not divisible into %d-way sets", sizeBytes, assoc))
 	}
 	numSets := totalLines / int64(assoc)
-	c := &Cache{name: name, numSets: numSets, sets: make([][]way, numSets), rec: make([]recency, numSets)}
+	c := &Cache{
+		name:    name,
+		ways:    make([]way, totalLines),
+		rec:     make([]recency, numSets),
+		assoc:   int64(assoc),
+		numSets: numSets,
+	}
 	if numSets&(numSets-1) == 0 {
 		c.setMask = numSets - 1
 	}
-	backing := make([]way, totalLines)
-	for i := range backing {
-		backing[i].line = noLine
+	for i := range c.ways {
+		c.ways[i].line = noLine
 	}
-	for i := range c.sets {
-		c.sets[i] = backing[int64(i)*int64(assoc) : (int64(i)+1)*int64(assoc)]
+	for i := range c.rec {
 		c.rec[i] = newRecency(assoc)
 	}
 	return c
@@ -110,7 +123,7 @@ func (c *Cache) Name() string { return c.name }
 
 // SizeBytes returns the cache capacity in bytes.
 func (c *Cache) SizeBytes() int64 {
-	return c.numSets * int64(len(c.sets[0])) * mem.LineBytes
+	return c.numSets * c.assoc * mem.LineBytes
 }
 
 // Stats returns a copy of the event counters.
@@ -121,25 +134,29 @@ func (c *Cache) ValidLines() int { return c.lines }
 
 // setOf returns the index and ways of the line's set.
 func (c *Cache) setOf(line mem.LineAddr) (int64, []way) {
+	var s int64
 	if c.setMask != 0 {
-		s := int64(line) & c.setMask
-		return s, c.sets[s]
-	}
-	s := int64(line) % c.numSets
-	if s < 0 {
+		s = int64(line) & c.setMask
+	} else if s = int64(line) % c.numSets; s < 0 {
 		s += c.numSets
 	}
-	return s, c.sets[s]
+	base := s * c.assoc
+	return s, c.ways[base : base+c.assoc]
+}
+
+// find returns the index and ways of the line's set and the line's way
+// in it, or a way ≥ len(set) when the line is absent. The per-line run
+// paths (AccessUpgradeRun, Insert) spell it out instead: it is over the
+// inliner's budget, and a call per lookup costs them measurably.
+func (c *Cache) find(line mem.LineAddr) (int64, []way, int) {
+	s, set := c.setOf(line)
+	return s, set, bits.TrailingZeros32(matchWays(set, line))
 }
 
 // Lookup returns the state of the line without touching LRU or counters.
 func (c *Cache) Lookup(line mem.LineAddr) (State, bool) {
-	_, set := c.setOf(line)
-	for i := range set {
-		w := &set[i]
-		if w.line == line {
-			return w.state, true
-		}
+	if _, set, j := c.find(line); j < len(set) {
+		return set[j].state, true
 	}
 	return Invalid, false
 }
@@ -148,14 +165,11 @@ func (c *Cache) Lookup(line mem.LineAddr) (State, bool) {
 // refreshes LRU and returns the state; on miss it returns (Invalid,
 // false). The caller decides what to do about the miss.
 func (c *Cache) Access(line mem.LineAddr) (State, bool) {
-	s, set := c.setOf(line)
-	for i := range set {
-		w := &set[i]
-		if w.line == line {
-			c.rec[s].touch(i)
-			c.stats.Hits++
-			return w.state, true
-		}
+	s, set, j := c.find(line)
+	if j < len(set) {
+		c.rec[s].touch(j)
+		c.stats.Hits++
+		return set[j].state, true
 	}
 	c.stats.Misses++
 	return Invalid, false
@@ -167,53 +181,52 @@ func (c *Cache) Access(line mem.LineAddr) (State, bool) {
 // held before the upgrade. Equivalent to Access followed by SetState on
 // the M/E write-hit path, without the second scan.
 func (c *Cache) AccessUpgrade(line mem.LineAddr, write bool) (State, bool) {
-	s, set := c.setOf(line)
-	for i := range set {
-		w := &set[i]
-		if w.line == line {
-			c.rec[s].touch(i)
-			c.stats.Hits++
-			st := w.state
-			if write && (st == Modified || st == Exclusive) {
-				w.state = Modified
-			}
-			return st, true
-		}
+	s, set, j := c.find(line)
+	if j >= len(set) {
+		c.stats.Misses++
+		return Invalid, false
 	}
-	c.stats.Misses++
-	return Invalid, false
+	c.rec[s].touch(j)
+	c.stats.Hits++
+	w := &set[j]
+	st := w.state
+	if write && (st == Modified || st == Exclusive) {
+		w.state = Modified
+	}
+	return st, true
 }
 
-// Victim describes a line displaced by Insert.
+// Victim describes a line displaced by Insert. LLCWay is the LLC way
+// hint the line was filled with (see way), for Directory.ProbeAt.
 type Victim struct {
-	Line  mem.LineAddr
-	State State
-	Valid bool
+	Line   mem.LineAddr
+	State  State
+	Valid  bool
+	LLCWay int32
 }
 
 // Insert fills the line with the given state, replacing the LRU way if
 // the set is full, and returns the victim (Valid=false when an invalid
 // way was used). Inserting a line that is already present updates its
-// state in place and returns no victim.
-func (c *Cache) Insert(line mem.LineAddr, st State) Victim {
+// state in place and returns no victim. llcWay is the line's LLC way
+// hint, or -1 for none; it replaces the line's previous hint.
+func (c *Cache) Insert(line mem.LineAddr, st State, llcWay int32) Victim {
 	if st == Invalid {
 		panic("cache: Insert with Invalid state")
 	}
 	s, set := c.setOf(line)
+	j := bits.TrailingZeros32(matchWays(set, line))
 	rec := &c.rec[s]
-	for i := range set {
-		w := &set[i]
-		if w.line == line {
-			w.state = st
-			rec.touch(i)
-			return Victim{}
-		}
+	if j < len(set) {
+		set[j].state = st
+		set[j].llcWay = llcWay
+		rec.touch(j)
+		return Victim{}
 	}
-	i := rec.victim(len(set))
-	w := &set[i]
+	w := &set[rec.replace(len(set))]
 	var v Victim
 	if w.state != Invalid {
-		v = Victim{Line: w.line, State: w.state, Valid: true}
+		v = Victim{Line: w.line, State: w.state, Valid: true, LLCWay: w.llcWay}
 		c.stats.Evictions++
 		if w.state.Dirty() {
 			c.stats.Writebacks++
@@ -221,9 +234,7 @@ func (c *Cache) Insert(line mem.LineAddr, st State) Victim {
 	} else {
 		c.lines++
 	}
-	w.line = line
-	w.state = st
-	rec.fill(i)
+	*w = way{line: line, state: st, llcWay: llcWay}
 	return v
 }
 
@@ -231,51 +242,44 @@ func (c *Cache) Insert(line mem.LineAddr, st State) Victim {
 // line was found. SetState(Invalid) behaves like Invalidate without
 // returning dirtiness.
 func (c *Cache) SetState(line mem.LineAddr, st State) bool {
-	s, set := c.setOf(line)
-	for i := range set {
-		w := &set[i]
-		if w.line == line {
-			if st == Invalid {
-				c.lines--
-				w.line = noLine
-				c.rec[s].drop(i)
-			}
-			w.state = st
-			return true
-		}
+	s, set, j := c.find(line)
+	if j >= len(set) {
+		return false
 	}
-	return false
+	if st == Invalid {
+		c.lines--
+		set[j].line = noLine
+		c.rec[s].drop(j)
+	}
+	set[j].state = st
+	return true
 }
 
 // Invalidate drops the line and reports (present, wasDirty) so the
 // caller can issue a writeback for recalled dirty data.
 func (c *Cache) Invalidate(line mem.LineAddr) (present, wasDirty bool) {
-	s, set := c.setOf(line)
-	for i := range set {
-		w := &set[i]
-		if w.line == line {
-			wasDirty = w.state.Dirty()
-			if wasDirty {
-				c.stats.Writebacks++
-			}
-			w.state = Invalid
-			w.line = noLine
-			c.rec[s].drop(i)
-			c.lines--
-			return true, wasDirty
-		}
+	s, set, j := c.find(line)
+	if j >= len(set) {
+		return false, false
 	}
-	return false, false
+	w := &set[j]
+	wasDirty = w.state.Dirty()
+	if wasDirty {
+		c.stats.Writebacks++
+	}
+	w.state = Invalid
+	w.line = noLine
+	c.rec[s].drop(j)
+	c.lines--
+	return true, wasDirty
 }
 
 // ForEachValid calls fn for every valid line. The callback must not
 // mutate the cache; collect lines first, then act (range flushes do).
 func (c *Cache) ForEachValid(fn func(line mem.LineAddr, st State)) {
-	for _, set := range c.sets {
-		for i := range set {
-			if set[i].state != Invalid {
-				fn(set[i].line, set[i].state)
-			}
+	for i := range c.ways {
+		if w := &c.ways[i]; w.state != Invalid {
+			fn(w.line, w.state)
 		}
 	}
 }
@@ -283,17 +287,15 @@ func (c *Cache) ForEachValid(fn func(line mem.LineAddr, st State)) {
 // Downgrade moves a Modified/Exclusive line to Shared and reports
 // (present, wasDirty); a dirty line must be written back by the caller.
 func (c *Cache) Downgrade(line mem.LineAddr) (present, wasDirty bool) {
-	_, set := c.setOf(line)
-	for i := range set {
-		w := &set[i]
-		if w.line == line {
-			wasDirty = w.state.Dirty()
-			if wasDirty {
-				c.stats.Writebacks++
-			}
-			w.state = Shared
-			return true, wasDirty
-		}
+	_, set, j := c.find(line)
+	if j >= len(set) {
+		return false, false
 	}
-	return false, false
+	w := &set[j]
+	wasDirty = w.state.Dirty()
+	if wasDirty {
+		c.stats.Writebacks++
+	}
+	w.state = Shared
+	return true, wasDirty
 }

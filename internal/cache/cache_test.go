@@ -28,7 +28,7 @@ func TestInsertAndAccess(t *testing.T) {
 	if _, hit := c.Access(100); hit {
 		t.Fatal("empty cache should miss")
 	}
-	c.Insert(100, Modified)
+	c.Insert(100, Modified, -1)
 	st, hit := c.Access(100)
 	if !hit || st != Modified {
 		t.Fatalf("got (%v,%v), want (M,true)", st, hit)
@@ -44,8 +44,8 @@ func TestInsertAndAccess(t *testing.T) {
 
 func TestInsertExistingUpdatesState(t *testing.T) {
 	c := smallCache()
-	c.Insert(100, Shared)
-	v := c.Insert(100, Modified)
+	c.Insert(100, Shared, -1)
+	v := c.Insert(100, Modified, -1)
 	if v.Valid {
 		t.Fatal("re-insert should not evict")
 	}
@@ -59,10 +59,10 @@ func TestInsertExistingUpdatesState(t *testing.T) {
 
 func TestLRUEviction(t *testing.T) {
 	c := smallCache() // 4 sets, 2 ways; lines k, k+4, k+8 map to same set
-	c.Insert(0, Shared)
-	c.Insert(4, Shared)
+	c.Insert(0, Shared, -1)
+	c.Insert(4, Shared, -1)
 	c.Access(0) // 0 is now MRU; 4 is LRU
-	v := c.Insert(8, Shared)
+	v := c.Insert(8, Shared, -1)
 	if !v.Valid || v.Line != 4 {
 		t.Fatalf("victim = %+v, want line 4", v)
 	}
@@ -76,9 +76,9 @@ func TestLRUEviction(t *testing.T) {
 
 func TestDirtyEvictionCountsWriteback(t *testing.T) {
 	c := smallCache()
-	c.Insert(0, Modified)
-	c.Insert(4, Shared)
-	v := c.Insert(8, Shared) // evicts line 0 (LRU, dirty)
+	c.Insert(0, Modified, -1)
+	c.Insert(4, Shared, -1)
+	v := c.Insert(8, Shared, -1) // evicts line 0 (LRU, dirty)
 	if !v.Valid || !v.State.Dirty() {
 		t.Fatalf("victim = %+v, want dirty line", v)
 	}
@@ -89,7 +89,7 @@ func TestDirtyEvictionCountsWriteback(t *testing.T) {
 
 func TestInvalidate(t *testing.T) {
 	c := smallCache()
-	c.Insert(7, Modified)
+	c.Insert(7, Modified, -1)
 	present, dirty := c.Invalidate(7)
 	if !present || !dirty {
 		t.Fatalf("Invalidate = (%v,%v), want (true,true)", present, dirty)
@@ -108,7 +108,7 @@ func TestInvalidate(t *testing.T) {
 
 func TestDowngrade(t *testing.T) {
 	c := smallCache()
-	c.Insert(3, Modified)
+	c.Insert(3, Modified, -1)
 	present, dirty := c.Downgrade(3)
 	if !present || !dirty {
 		t.Fatalf("Downgrade = (%v,%v)", present, dirty)
@@ -124,7 +124,7 @@ func TestDowngrade(t *testing.T) {
 
 func TestSetState(t *testing.T) {
 	c := smallCache()
-	c.Insert(1, Exclusive)
+	c.Insert(1, Exclusive, -1)
 	if !c.SetState(1, Modified) {
 		t.Fatal("SetState on present line failed")
 	}
@@ -143,7 +143,7 @@ func TestSetState(t *testing.T) {
 func TestCapacityNeverExceeded(t *testing.T) {
 	c := smallCache()
 	for i := mem.LineAddr(0); i < 100; i++ {
-		c.Insert(i, Shared)
+		c.Insert(i, Shared, -1)
 	}
 	if c.ValidLines() != 8 {
 		t.Fatalf("ValidLines = %d, want 8 (capacity)", c.ValidLines())
@@ -154,7 +154,7 @@ func TestNegativeLineAddrDoesNotPanic(t *testing.T) {
 	// Line addresses are always non-negative in practice, but the set
 	// index math should stay defensive.
 	c := smallCache()
-	c.Insert(-5, Shared)
+	c.Insert(-5, Shared, -1)
 	if _, hit := c.Lookup(-5); !hit {
 		t.Fatal("negative line not found")
 	}
@@ -194,7 +194,7 @@ func TestInsertInvalidPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	c.Insert(0, Invalid)
+	c.Insert(0, Invalid, -1)
 }
 
 // Property: after any sequence of inserts, every line reported present is
@@ -207,7 +207,7 @@ func TestCacheConsistencyProperty(t *testing.T) {
 			line := mem.LineAddr(op % 256)
 			switch op % 3 {
 			case 0:
-				v := c.Insert(line, Modified)
+				v := c.Insert(line, Modified, -1)
 				live[line] = true
 				if v.Valid {
 					delete(live, v.Line)
@@ -246,7 +246,7 @@ func TestVictimGoneProperty(t *testing.T) {
 		c := New("p", 16*mem.LineBytes, 2)
 		for _, l := range lines {
 			line := mem.LineAddr(l)
-			v := c.Insert(line, Shared)
+			v := c.Insert(line, Shared, -1)
 			if v.Valid {
 				if v.Line == line {
 					return false

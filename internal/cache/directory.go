@@ -108,9 +108,10 @@ type DirStats struct {
 // The tags live in a dedicated parallel array: an 8-way set's tags span
 // one hardware cache line (instead of the four its entries span), so
 // the hit scan — the hottest loop of the LLC model — touches a single
-// line. Replacement state is one recency word per set, so a hit or fill
-// updates LRU in a few register operations and the miss path picks its
-// victim without scanning the set.
+// line, and matchTags compares all of it without a data-dependent
+// branch. Replacement state is one recency word per set, so a hit or
+// fill updates LRU in a few register operations and the miss path picks
+// its victim without scanning the set.
 type Directory struct {
 	name    string
 	entries []DirEntry     // flat backing, numSets × assoc
@@ -199,14 +200,19 @@ func (d *Directory) setIndex(line mem.LineAddr) int64 {
 	return idx
 }
 
+// find returns the line's set index, the set's first entry index and
+// the line's way in the set, or a way ≥ assoc when the line is absent.
+func (d *Directory) find(line mem.LineAddr) (s, base int64, j int) {
+	s = d.setIndex(line)
+	base = s * d.assoc
+	return s, base, bits.TrailingZeros32(matchTags(d.tags[base:base+d.assoc], line))
+}
+
 // Probe returns the entry for the line without counting an access, or
 // nil when absent.
 func (d *Directory) Probe(line mem.LineAddr) *DirEntry {
-	base := d.setIndex(line) * d.assoc
-	for i := base; i < base+d.assoc; i++ {
-		if d.tags[i] == line {
-			return &d.entries[i]
-		}
+	if _, base, j := d.find(line); int64(j) < d.assoc {
+		return &d.entries[base+int64(j)]
 	}
 	return nil
 }
@@ -214,15 +220,11 @@ func (d *Directory) Probe(line mem.LineAddr) *DirEntry {
 // Access looks the line up, counting a hit or miss and refreshing LRU on
 // hit. It returns nil on miss.
 func (d *Directory) Access(line mem.LineAddr) *DirEntry {
-	s := d.setIndex(line)
-	base := s * d.assoc
-	tags := d.tags[base : base+d.assoc]
-	for j := range tags {
-		if tags[j] == line {
-			d.rec[s].touch(j)
-			d.stats.Hits++
-			return &d.entries[base+int64(j)]
-		}
+	s, base, j := d.find(line)
+	if int64(j) < d.assoc {
+		d.rec[s].touch(j)
+		d.stats.Hits++
+		return &d.entries[base+int64(j)]
 	}
 	d.stats.Misses++
 	return nil
@@ -247,20 +249,42 @@ func (d *Directory) Insert(line mem.LineAddr, st DirState) (*DirEntry, DirVictim
 	if st == DirInvalid {
 		panic("cache: directory Insert with invalid state")
 	}
-	s := d.setIndex(line)
-	base := s * d.assoc
-	tags := d.tags[base : base+d.assoc]
-	rec := &d.rec[s]
-	for j := range tags {
-		if tags[j] == line {
-			e := &d.entries[base+int64(j)]
-			e.State = st
-			rec.touch(j)
-			return e, DirVictim{}
-		}
+	s, base, j := d.find(line)
+	if int64(j) < d.assoc {
+		e := &d.entries[base+int64(j)]
+		e.State = st
+		d.rec[s].touch(j)
+		return e, DirVictim{}
 	}
-	j := rec.victim(len(tags))
-	e := &d.entries[base+int64(j)]
+	return d.fill(s, base, line, st)
+}
+
+// AccessOrInsert looks the line up and, on a miss, fills it with
+// missState. It is exactly equivalent to Access followed (on miss) by
+// Insert, but pays one set scan instead of two. hit reports whether the
+// line was already present; on a miss the returned victim (if Valid)
+// must be handled as for Insert.
+func (d *Directory) AccessOrInsert(line mem.LineAddr, missState DirState) (e *DirEntry, v DirVictim, hit bool) {
+	if missState == DirInvalid {
+		panic("cache: directory AccessOrInsert with invalid state")
+	}
+	s, base, j := d.find(line)
+	if int64(j) < d.assoc {
+		d.rec[s].touch(j)
+		d.stats.Hits++
+		return &d.entries[base+int64(j)], DirVictim{}, true
+	}
+	d.stats.Misses++
+	e, v = d.fill(s, base, line, missState)
+	return e, v, false
+}
+
+// fill places an absent line into set s (first entry base), displacing
+// the set's replacement victim, and returns the new entry and the
+// victim.
+func (d *Directory) fill(s, base int64, line mem.LineAddr, st DirState) (*DirEntry, DirVictim) {
+	j := base + int64(d.rec[s].replace(int(d.assoc)))
+	e := &d.entries[j]
 	var v DirVictim
 	if e.State != DirInvalid {
 		v = DirVictim{
@@ -282,60 +306,8 @@ func (d *Directory) Insert(line mem.LineAddr, st DirState) (*DirEntry, DirVictim
 		d.lines++
 	}
 	*e = DirEntry{Line: line, State: st, Owner: NoOwner}
-	tags[j] = line
-	rec.fill(j)
+	d.tags[j] = line
 	return e, v
-}
-
-// AccessOrInsert looks the line up and, on a miss, fills it with
-// missState. It is exactly equivalent to Access followed (on miss) by
-// Insert, but pays one set scan instead of two. hit reports whether the
-// line was already present; on a miss the returned victim (if Valid)
-// must be handled as for Insert.
-func (d *Directory) AccessOrInsert(line mem.LineAddr, missState DirState) (e *DirEntry, v DirVictim, hit bool) {
-	if missState == DirInvalid {
-		panic("cache: directory AccessOrInsert with invalid state")
-	}
-	s := d.setIndex(line)
-	base := s * d.assoc
-	tags := d.tags[base : base+d.assoc]
-	rec := &d.rec[s]
-	for j := range tags {
-		if tags[j] == line {
-			rec.touch(j)
-			d.stats.Hits++
-			return &d.entries[base+int64(j)], DirVictim{}, true
-		}
-	}
-	d.stats.Misses++
-	// Fill inline, duplicating Insert's fill tail (keep the two in
-	// sync): this is the hottest miss path in the simulator and a shared
-	// helper is over the compiler's inline budget.
-	j := rec.victim(len(tags))
-	w := &d.entries[base+int64(j)]
-	if w.State != DirInvalid {
-		v = DirVictim{
-			Line:     w.Line,
-			WasDirty: w.State == DirDirty,
-			Owner:    w.Owner,
-			Sharers:  w.Sharers,
-			Valid:    true,
-		}
-		d.stats.Evictions++
-		if v.WasDirty {
-			d.stats.Writebacks++
-		}
-		if v.Owner != NoOwner || v.Sharers != 0 {
-			d.stats.Recalls++
-			d.noteEvicted(v.Owner, v.Sharers)
-		}
-	} else {
-		d.lines++
-	}
-	*w = DirEntry{Line: line, State: missState, Owner: NoOwner}
-	tags[j] = line
-	rec.fill(j)
-	return w, v, false
 }
 
 // noteEvicted rolls an evicted or invalidated entry's owner/sharer
@@ -456,32 +428,26 @@ func (d *Directory) ForEachValid(fn func(e *DirEntry)) {
 // Invalidate drops the line, returning its final directory state so the
 // caller can write dirty data back and invalidate private copies.
 func (d *Directory) Invalidate(line mem.LineAddr) (DirVictim, bool) {
-	s := d.setIndex(line)
-	base := s * d.assoc
-	tags := d.tags[base : base+d.assoc]
-	for j := range tags {
-		if tags[j] == line {
-			e := &d.entries[base+int64(j)]
-			v := DirVictim{
-				Line:     e.Line,
-				WasDirty: e.State == DirDirty,
-				Owner:    e.Owner,
-				Sharers:  e.Sharers,
-				Valid:    true,
-			}
-			if v.WasDirty {
-				d.stats.Writebacks++
-			}
-			d.noteEvicted(e.Owner, e.Sharers)
-			e.State = DirInvalid
-			e.Line = noLine
-			e.Owner = NoOwner
-			e.Sharers = 0
-			tags[j] = noLine
-			d.rec[s].drop(j)
-			d.lines--
-			return v, true
-		}
+	s, base, j := d.find(line)
+	if int64(j) >= d.assoc {
+		return DirVictim{}, false
 	}
-	return DirVictim{}, false
+	i := base + int64(j)
+	e := &d.entries[i]
+	v := DirVictim{
+		Line:     e.Line,
+		WasDirty: e.State == DirDirty,
+		Owner:    e.Owner,
+		Sharers:  e.Sharers,
+		Valid:    true,
+	}
+	if v.WasDirty {
+		d.stats.Writebacks++
+	}
+	d.noteEvicted(e.Owner, e.Sharers)
+	*e = DirEntry{Line: noLine, Owner: NoOwner}
+	d.tags[i] = noLine
+	d.rec[s].drop(j)
+	d.lines--
+	return v, true
 }

@@ -50,18 +50,22 @@ func (r *recency) touch(w int) {
 	r.order = r.order&^through | (r.order&(through>>4))<<4 | uint64(w)
 }
 
-// victim returns the way a fill of this set of assoc ways replaces.
-func (r *recency) victim(assoc int) int {
+// replace picks the way a fill of this set of assoc ways replaces — the
+// lowest-indexed invalid way when one exists, else the way at the last
+// rank — marks it valid and most recently used, and returns it. A fill
+// of a full set is a one-rank rotation of the order: the victim moves
+// from the last rank to rank 0, and no find is needed.
+func (r *recency) replace(assoc int) int {
 	if w := bits.TrailingZeros16(^r.valid); w < assoc {
+		r.valid |= 1 << uint(w)
+		r.touch(w)
 		return w
 	}
-	return int(r.order>>(4*uint(assoc-1))) & 0xF
-}
-
-// fill marks way w valid and most recently used.
-func (r *recency) fill(w int) {
-	r.valid |= 1 << uint(w)
-	r.touch(w)
+	last := 4 * uint(assoc-1)
+	w := r.order >> last & 0xF
+	ranks := uint64(1)<<(last+4) - 1 // ranks 0..assoc-1 (all ones at 16 ways)
+	r.order = r.order&^ranks | r.order<<4&ranks | w
+	return int(w)
 }
 
 // drop marks way w invalid, leaving the recency order unchanged.

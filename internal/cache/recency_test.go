@@ -197,9 +197,10 @@ func (o *tickCache) accessUpgrade(line mem.LineAddr, write bool) (State, bool) {
 	return st, true
 }
 
-func (o *tickCache) insert(line mem.LineAddr, st State) Victim {
+func (o *tickCache) insert(line mem.LineAddr, st State, hint int32) Victim {
 	if i := o.find(line); i >= 0 {
 		o.ways[i].state = st
+		o.ways[i].llcWay = hint
 		o.touch(i)
 		return Victim{}
 	}
@@ -220,7 +221,7 @@ func (o *tickCache) insert(line mem.LineAddr, st State) Victim {
 	w := &o.ways[victim]
 	var v Victim
 	if w.state != Invalid {
-		v = Victim{Line: w.line, State: w.state, Valid: true}
+		v = Victim{Line: w.line, State: w.state, Valid: true, LLCWay: w.llcWay}
 		o.stats.Evictions++
 		if w.state.Dirty() {
 			o.stats.Writebacks++
@@ -228,7 +229,7 @@ func (o *tickCache) insert(line mem.LineAddr, st State) Victim {
 	} else {
 		o.lines++
 	}
-	*w = way{line: line, state: st}
+	*w = way{line: line, state: st, llcWay: hint}
 	o.touch(victim)
 	return v
 }
@@ -255,7 +256,8 @@ func (o *tickCache) invalidate(line mem.LineAddr) (present, wasDirty bool) {
 	if wasDirty {
 		o.stats.Writebacks++
 	}
-	o.ways[i] = way{line: noLine}
+	// An invalid way's LLC hint is never read back; it stays put.
+	o.ways[i].line, o.ways[i].state = noLine, Invalid
 	o.lines--
 	return true, wasDirty
 }
@@ -276,19 +278,22 @@ func (r *opReader) next() int {
 	return int(r.b[r.i-1])
 }
 
-// needsWork reports whether a displaced victim is one a run reports.
-func needsWork(v DirVictim) bool {
-	return v.Valid && (v.WasDirty || v.Owner != NoOwner || v.Sharers != 0)
+// recallVictim reports whether a displaced victim lists private copies,
+// so a run reports it in Victims; a valid dirty victim without any is a
+// DirtyMask bit instead.
+func recallVictim(v DirVictim) bool {
+	return v.Valid && (v.Owner != NoOwner || v.Sharers != 0)
 }
 
 // checkCacheRecency checks a Cache's per-set replacement state the way
 // Directory.CheckSummary checks the LLC's.
 func checkCacheRecency(c *Cache) error {
-	for s, set := range c.sets {
-		if err := c.rec[s].check(len(set)); err != nil {
+	for s := range c.rec {
+		if err := c.rec[s].check(int(c.assoc)); err != nil {
 			return fmt.Errorf("set %d: %v", s, err)
 		}
 		var valid uint16
+		set := c.ways[int64(s)*c.assoc : int64(s+1)*c.assoc]
 		for j := range set {
 			if set[j].line != noLine {
 				valid |= 1 << uint(j)
@@ -367,6 +372,7 @@ func driveRecency(t *testing.T, assoc, sets int, ops []byte) {
 			}
 			d.AccessOrInsertRun(lines, st, upd, &run)
 			victims := run.Victims
+			var dirty uint64
 			hits := 0
 			for i, line := range lines {
 				way, ov, hit := od.accessOrInsert(line, st)
@@ -376,11 +382,14 @@ func driveRecency(t *testing.T, assoc, sets int, ops []byte) {
 				if hit {
 					hits++
 				}
-				if needsWork(ov) {
+				switch {
+				case recallVictim(ov):
 					if len(victims) == 0 || victims[0] != (RunVictim{Idx: int32(i), V: ov}) {
 						fail("run line %d (%d): victims %+v, model victim %+v", i, line, victims, ov)
 					}
 					victims = victims[1:]
+				case ov.Valid && ov.WasDirty:
+					dirty |= 1 << uint(i)
 				}
 				// The run's protocol update is not replacement state:
 				// mirror it (a DMA write hit also dirties the line).
@@ -392,6 +401,9 @@ func driveRecency(t *testing.T, assoc, sets int, ops []byte) {
 			}
 			if len(victims) != 0 || run.Hits != hits || run.Misses != len(lines)-hits {
 				fail("run reported extra victims %+v or hits/misses %d/%d, model %d/%d", victims, run.Hits, run.Misses, hits, len(lines)-hits)
+			}
+			if run.DirtyMask != dirty {
+				fail("run dirty-victim mask %b, model %b", run.DirtyMask, dirty)
 			}
 		case 4: // Directory.Invalidate
 			line := lineArg()
@@ -464,8 +476,8 @@ func driveRecency(t *testing.T, assoc, sets int, ops []byte) {
 				fail("AccessUpgradeRun(%d, %d, %v) misses %v, model %v", start, n, write, misses, want)
 			}
 		case 10: // Cache.Insert
-			line, st := lineArg(), cacheState()
-			if v, ov := c.Insert(line, st), oc.insert(line, st); v != ov {
+			line, st, hint := lineArg(), cacheState(), int32(r.next())-1
+			if v, ov := c.Insert(line, st, hint), oc.insert(line, st, hint); v != ov {
 				fail("cache Insert(%d) victim %+v, model %+v", line, v, ov)
 			}
 		case 11: // Cache.InsertRun
@@ -474,10 +486,14 @@ func driveRecency(t *testing.T, assoc, sets int, ops []byte) {
 				lines[i] = lineArg()
 			}
 			st := cacheState()
-			victims := c.InsertRun(lines, st, nil)
+			hints := make([]int32, len(lines))
+			for i := range hints {
+				hints[i] = int32(r.next()) - 1
+			}
+			victims := c.InsertRun(lines, st, hints, nil)
 			var want []Victim
-			for _, line := range lines {
-				if v := oc.insert(line, st); v.Valid {
+			for i, line := range lines {
+				if v := oc.insert(line, st, hints[i]); v.Valid {
 					want = append(want, v)
 				}
 			}
@@ -515,11 +531,9 @@ func driveRecency(t *testing.T, assoc, sets int, ops []byte) {
 		if c.Stats() != oc.stats || c.ValidLines() != oc.lines {
 			fail("cache stats %+v lines %d, model %+v lines %d", c.Stats(), c.ValidLines(), oc.stats, oc.lines)
 		}
-		for s, set := range c.sets {
-			for j, w := range set {
-				if ow := oc.ways[s*assoc+j]; w != ow {
-					fail("cache set %d way %d = %+v, model %+v", s, j, w, ow)
-				}
+		for i, w := range c.ways {
+			if ow := oc.ways[i]; w != ow {
+				fail("cache set %d way %d = %+v, model %+v", i/assoc, i%assoc, w, ow)
 			}
 		}
 		if err := checkCacheRecency(c); err != nil {

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
 
 	"cohmeleon/internal/mem"
 )
@@ -28,6 +29,20 @@ import (
 // per-line reference loop does between two scans touches another set.
 // Callers fall back to the per-line reference flow when the
 // preconditions do not hold (degenerate geometries).
+//
+// Outcomes come back as masks so the caller can walk only the lines
+// that need work: a DirRun's ComplexMask (hits needing recalls or
+// invalidations), DirtyMask (misses whose victim only needs a DRAM
+// writeback) and the line indices of its recall Victims are disjoint,
+// and together they are every line the per-line loop would do more for
+// than reserve the LLC pipeline. Every other line's occupancy follows
+// from HitMask alone.
+//
+// A run's Ways double as hints: a private cache filled from a run keeps
+// each line's LLC way (Cache.Insert/InsertRun's llcWay), hands it back
+// on the line's Victim, and the caller finds the line's entry again
+// with ProbeAt, which revalidates the way by tag and falls back to a
+// set scan, so hints change what is scanned, never what is found.
 
 // RunKind selects the protocol-update rule AccessOrInsertRun applies
 // in-batch to plain lines.
@@ -52,9 +67,9 @@ type RunUpdate struct {
 	Self           int  // RunCached: the requesting agent index
 }
 
-// RunVictim pairs a displaced valid entry that needs caller-side work
-// (dirty data, or private copies to recall) with the index of the run
-// line whose fill displaced it.
+// RunVictim pairs a displaced valid entry that lists private copies —
+// a recall victim — with the index of the run line whose fill displaced
+// it.
 type RunVictim struct {
 	Idx int32
 	V   DirVictim
@@ -63,22 +78,20 @@ type RunVictim struct {
 // DirRun is the reusable outcome buffer of one AccessOrInsertRun call.
 // Bit i of the masks refers to lines[i]; Ways[i] is the way index of
 // the line's entry (valid until a later insert displaces it — ProbeAt
-// revalidates by tag).
+// revalidates by tag). Every displaced victim that needs caller-side
+// work is in exactly one place: DirtyMask names the miss lines whose
+// victim held dirty data and listed no private copies (the caller only
+// posts its writeback to DRAM), and Victims lists, in line order, the
+// recall victims, which list an owner or sharers (dirty or not). Clean
+// victims without private copies are absorbed silently.
 type DirRun struct {
 	Ways        []int32
 	HitMask     uint64 // line was already resident
 	ComplexMask uint64 // hit line needs caller-side recalls/invalidations
+	DirtyMask   uint64 // miss line displaced a dirty victim with no private copies
 	Victims     []RunVictim
 	Hits        int
 	Misses      int
-}
-
-// reset clears the buffer for reuse without releasing storage.
-func (r *DirRun) reset() {
-	r.Ways = r.Ways[:0]
-	r.Victims = r.Victims[:0]
-	r.HitMask, r.ComplexMask = 0, 0
-	r.Hits, r.Misses = 0, 0
 }
 
 // AccessOrInsertRun performs AccessOrInsert for every line of the run
@@ -87,10 +100,8 @@ func (r *DirRun) reset() {
 // copies and then update, via ProbeAt — when the update rule requires
 // interrogating private copies: a foreign owner (or, on writes, any
 // sharer) under RunCached, and the same under RunDMA with RecallOwners.
-// Displaced valid victims that need caller-side work (dirty data,
-// private copies) are reported in line order; clean unshared victims
-// are absorbed silently, exactly as the per-line loop's victim handling
-// would fall through. See the file comment for preconditions.
+// Displaced victims are reported as the DirRun comment describes. See
+// the file comment for preconditions.
 func (d *Directory) AccessOrInsertRun(lines []mem.LineAddr, missState DirState, upd RunUpdate, out *DirRun) {
 	if missState == DirInvalid {
 		panic("cache: directory AccessOrInsertRun with invalid state")
@@ -98,31 +109,32 @@ func (d *Directory) AccessOrInsertRun(lines []mem.LineAddr, missState DirState, 
 	if len(lines) > 64 {
 		panic(fmt.Sprintf("cache: AccessOrInsertRun over %d lines exceeds the outcome mask", len(lines)))
 	}
-	out.reset()
-	if cap(out.Ways) < len(lines) {
-		out.Ways = make([]int32, 0, 64)
+	if cap(out.Ways) < 64 {
+		out.Ways = make([]int32, 64)
 	}
+	// Reslicing a field in place stores no new pointer, so it needs no GC
+	// write barrier; only a (rare) recall victim's append does.
+	out.Ways = out.Ways[:len(lines)]
+	out.Victims = out.Victims[:0]
+	ways := out.Ways
+	var hitMask, complexMask, dirtyMask uint64
+	var hits, evictions, writebacks, recalls, filled int
 	cached := upd.Kind == RunCached
 	for i, line := range lines {
 		s := d.setIndex(line)
 		base := s * d.assoc
-		tags := d.tags[base : base+d.assoc]
 		rec := &d.rec[s]
-		j := 0
-		for j < len(tags) && tags[j] != line {
-			j++
-		}
-		if j < len(tags) {
+		bit := uint64(1) << uint(i)
+		if j := bits.TrailingZeros32(matchTags(d.tags[base:base+d.assoc], line)); int64(j) < d.assoc {
 			e := &d.entries[base+int64(j)]
 			rec.touch(j)
-			d.stats.Hits++
-			out.HitMask |= 1 << uint(i)
-			out.Hits++
-			out.Ways = append(out.Ways, int32(base)+int32(j))
+			hitMask |= bit
+			hits++
+			ways[i] = int32(base) + int32(j)
 			if cached {
 				if (e.Owner != NoOwner && e.Owner != upd.Self) ||
 					(upd.Write && e.Sharers != 0) {
-					out.ComplexMask |= 1 << uint(i)
+					complexMask |= bit
 					continue
 				}
 				// The tail of the reference loop, for lines that needed no
@@ -139,7 +151,7 @@ func (d *Directory) AccessOrInsertRun(lines []mem.LineAddr, missState DirState, 
 			}
 			if upd.RecallOwners &&
 				(e.Owner != NoOwner || (upd.Write && e.Sharers != 0)) {
-				out.ComplexMask |= 1 << uint(i)
+				complexMask |= bit
 				continue
 			}
 			if upd.Write {
@@ -153,36 +165,33 @@ func (d *Directory) AccessOrInsertRun(lines []mem.LineAddr, missState DirState, 
 		}
 		// Miss: fill the set's replacement victim in place exactly as
 		// AccessOrInsert does.
-		j = rec.victim(len(tags))
-		e := &d.entries[base+int64(j)]
-		d.stats.Misses++
-		out.Misses++
+		w := base + int64(rec.replace(int(d.assoc)))
+		e := &d.entries[w]
+		ways[i] = int32(w)
 		if e.State != DirInvalid {
-			v := DirVictim{
-				Line:     e.Line,
-				WasDirty: e.State == DirDirty,
-				Owner:    e.Owner,
-				Sharers:  e.Sharers,
-				Valid:    true,
+			evictions++
+			dirty := e.State == DirDirty
+			if dirty {
+				writebacks++
 			}
-			d.stats.Evictions++
-			if v.WasDirty {
-				d.stats.Writebacks++
-			}
-			if v.Owner != NoOwner || v.Sharers != 0 {
-				d.stats.Recalls++
-				d.noteEvicted(v.Owner, v.Sharers)
-			}
-			if v.WasDirty || v.Owner != NoOwner || v.Sharers != 0 {
-				out.Victims = append(out.Victims, RunVictim{Idx: int32(i), V: v})
+			if e.Owner != NoOwner || e.Sharers != 0 {
+				recalls++
+				d.noteEvicted(e.Owner, e.Sharers)
+				out.Victims = append(out.Victims, RunVictim{Idx: int32(i), V: DirVictim{
+					Line:     e.Line,
+					WasDirty: dirty,
+					Owner:    e.Owner,
+					Sharers:  e.Sharers,
+					Valid:    true,
+				}})
+			} else if dirty {
+				dirtyMask |= bit
 			}
 		} else {
-			d.lines++
+			filled++
 		}
 		*e = DirEntry{Line: line, State: missState, Owner: NoOwner}
-		tags[j] = line
-		rec.fill(j)
-		out.Ways = append(out.Ways, int32(base)+int32(j))
+		d.tags[w] = line
 		if cached {
 			// Write-allocate claims ownership; a read miss gets the
 			// exclusive grant (no owner, no sharers by construction) only
@@ -196,14 +205,25 @@ func (d *Directory) AccessOrInsertRun(lines []mem.LineAddr, missState DirState, 
 			}
 		}
 	}
+	misses := len(lines) - hits
+	d.stats.Hits += int64(hits)
+	d.stats.Misses += int64(misses)
+	d.stats.Evictions += int64(evictions)
+	d.stats.Writebacks += int64(writebacks)
+	d.stats.Recalls += int64(recalls)
+	d.lines += filled
+	out.HitMask, out.ComplexMask, out.DirtyMask = hitMask, complexMask, dirtyMask
+	out.Hits, out.Misses = hits, misses
 }
 
-// ProbeAt returns the entry a run reported at the given way if it still
-// holds the line, falling back to a full Probe (which reports nil when
-// the line was displaced in the meantime). It is exactly equivalent to
-// Probe(line), minus the set scan in the common undisturbed case.
+// ProbeAt returns the entry at the given way if it still holds the line,
+// falling back to a full Probe (which reports nil when the line was
+// displaced in the meantime). It is exactly equivalent to Probe(line),
+// minus the set scan in the common undisturbed case. way is a hint: a
+// run's Ways entry, a private-cache line's LLC way (Victim.LLCWay), or
+// -1 for none; a negative, out-of-range or stale hint takes the scan.
 func (d *Directory) ProbeAt(way int32, line mem.LineAddr) *DirEntry {
-	if d.tags[way] == line {
+	if uint(way) < uint(len(d.tags)) && d.tags[way] == line {
 		return &d.entries[way]
 	}
 	return d.Probe(line)
@@ -217,30 +237,23 @@ func (d *Directory) ProbeAt(way int32, line mem.LineAddr) *DirEntry {
 // caller would have skipped the recalls that line required.
 func (d *Directory) InvalidateRun(lines []mem.LineAddr) (dirty int64) {
 	for _, line := range lines {
-		s := d.setIndex(line)
-		base := s * d.assoc
-		tags := d.tags[base : base+d.assoc]
-		for j := range tags {
-			if tags[j] != line {
-				continue
-			}
-			e := &d.entries[base+int64(j)]
-			if e.Owner != NoOwner || e.Sharers != 0 {
-				panic("cache: InvalidateRun on a line with private copies")
-			}
-			if e.State == DirDirty {
-				d.stats.Writebacks++
-				dirty++
-			}
-			e.State = DirInvalid
-			e.Line = noLine
-			e.Owner = NoOwner
-			e.Sharers = 0
-			tags[j] = noLine
-			d.rec[s].drop(j)
-			d.lines--
-			break
+		s, base, j := d.find(line)
+		if int64(j) >= d.assoc {
+			continue
 		}
+		i := base + int64(j)
+		e := &d.entries[i]
+		if e.Owner != NoOwner || e.Sharers != 0 {
+			panic("cache: InvalidateRun on a line with private copies")
+		}
+		if e.State == DirDirty {
+			d.stats.Writebacks++
+			dirty++
+		}
+		*e = DirEntry{Line: noLine, Owner: NoOwner}
+		d.tags[i] = noLine
+		d.rec[s].drop(j)
+		d.lines--
 	}
 	return dirty
 }
@@ -254,28 +267,21 @@ func (c *Cache) AccessUpgradeRun(start mem.LineAddr, n int64, write bool, misses
 	for i := int64(0); i < n; i++ {
 		line := start + mem.LineAddr(i)
 		s, set := c.setOf(line)
-		hit := false
-		for j := range set {
-			w := &set[j]
-			if w.line != line {
-				continue
-			}
-			c.rec[s].touch(j)
-			c.stats.Hits++
-			if write {
-				if st := w.state; st == Modified || st == Exclusive {
-					w.state = Modified
-				} else {
-					// Write hit in Shared: needs the upgrade round trip.
-					misses = append(misses, line)
-				}
-			}
-			hit = true
-			break
-		}
-		if !hit {
+		j := bits.TrailingZeros32(matchWays(set, line))
+		if j >= len(set) {
 			c.stats.Misses++
 			misses = append(misses, line)
+			continue
+		}
+		c.rec[s].touch(j)
+		c.stats.Hits++
+		if write {
+			if w := &set[j]; w.state == Modified || w.state == Exclusive {
+				w.state = Modified
+			} else {
+				// Write hit in Shared: needs the upgrade round trip.
+				misses = append(misses, line)
+			}
 		}
 	}
 	return misses
@@ -283,15 +289,16 @@ func (c *Cache) AccessUpgradeRun(start mem.LineAddr, n int64, write bool, misses
 
 // InsertRun fills every listed line with the uniform state st (the
 // write-allocate path fills Modified), appending displaced valid
-// victims in insert order. It is exactly equivalent to calling Insert
-// per line; deferring the victims is safe because handling them never
-// touches this cache.
-func (c *Cache) InsertRun(lines []mem.LineAddr, st State, victims []Victim) []Victim {
+// victims in insert order. llcWays[i] is lines[i]'s LLC way hint (a
+// run's Ways). It is exactly equivalent to calling Insert per line;
+// deferring the victims is safe because handling them never touches
+// this cache.
+func (c *Cache) InsertRun(lines []mem.LineAddr, st State, llcWays []int32, victims []Victim) []Victim {
 	if st == Invalid {
 		panic("cache: InsertRun with Invalid state")
 	}
-	for _, line := range lines {
-		if v := c.Insert(line, st); v.Valid {
+	for i, line := range lines {
+		if v := c.Insert(line, st, llcWays[i]); v.Valid {
 			victims = append(victims, v)
 		}
 	}

@@ -161,9 +161,9 @@ func TestAccessOrInsertRunMatchesPerLine(t *testing.T) {
 func TestAccessUpgradeRunMatchesPerLine(t *testing.T) {
 	mk := func() *Cache {
 		c := New("l2", 16*mem.LineBytes, 2)
-		c.Insert(1, Shared)
-		c.Insert(2, Exclusive)
-		c.Insert(3, Modified)
+		c.Insert(1, Shared, -1)
+		c.Insert(2, Exclusive, -1)
+		c.Insert(3, Modified, -1)
 		return c
 	}
 	fast, ref := mk(), mk()
@@ -229,4 +229,52 @@ func TestInvalidateRunRejectsPrivateCopies(t *testing.T) {
 		}
 	}()
 	d.InvalidateRun([]mem.LineAddr{1})
+}
+
+// TestProbeAtHints: ProbeAt answers exactly as Probe for every kind of
+// hint — the line's own way, none (-1), a stale way that now holds
+// another line, and the way of a line that has since been displaced.
+func TestProbeAtHints(t *testing.T) {
+	d := NewDirectory("llc", 4*mem.LineBytes, 2) // 2 sets × 2 ways
+	e0, _ := d.Insert(0, DirClean)
+	e2, _ := d.Insert(2, DirDirty)
+	way := func(e *DirEntry) int32 {
+		for i := range d.entries {
+			if &d.entries[i] == e {
+				return int32(i)
+			}
+		}
+		t.Fatalf("entry %p not in the directory", e)
+		return -1
+	}
+	w0, w2 := way(e0), way(e2)
+	for _, tc := range []struct {
+		name string
+		hint int32
+		line mem.LineAddr
+		want *DirEntry
+	}{
+		{"exact", w0, 0, e0},
+		{"negative", -1, 2, e2},
+		{"stale: the way holds another line", w0, 2, e2},
+		{"out of range", int32(len(d.entries)), 0, e0},
+		{"absent line", w0, 4, nil},
+	} {
+		if got := d.ProbeAt(tc.hint, tc.line); got != tc.want || got != d.Probe(tc.line) {
+			t.Errorf("%s: ProbeAt(%d, %d) = %p, want %p", tc.name, tc.hint, tc.line, got, tc.want)
+		}
+	}
+	// Displace line 0: lines 4 and 6 share its set, and 0 is its LRU way
+	// once 2 is touched. Its old hint must now miss, and a line refilled
+	// elsewhere must be found through the scan.
+	d.Access(2)
+	d.Insert(4, DirClean)
+	d.Insert(6, DirClean)
+	if e := d.ProbeAt(w0, 0); e != nil {
+		t.Errorf("displaced line 0: ProbeAt(%d, 0) = %+v, want nil", w0, *e)
+	}
+	d.Insert(0, DirClean)
+	if got, want := d.ProbeAt(w2, 0), d.Probe(0); got == nil || got != want {
+		t.Errorf("refilled line 0: ProbeAt(%d, 0) = %p, want %p", w2, got, want)
+	}
 }

@@ -100,17 +100,27 @@ func GetFidelityStats() FidelityStats {
 }
 
 // modelMemo caches fitted models in-process, keyed by calibration
-// content. ResetRunCache clears it alongside the run memo.
+// content. ResetRunCache clears it alongside the run memo. An entry is
+// published before its model is ready, so concurrent callers of one key
+// wait for a single load or fit, as runMemo.getOrRun does for runs.
 var modelMemo = struct {
 	mu      sync.Mutex
-	entries map[runKey]*costmodel.Model
-}{entries: make(map[runKey]*costmodel.Model)}
+	entries map[runKey]*modelEntry
+}{entries: make(map[runKey]*modelEntry)}
+
+// modelEntry is one model, ready once done is closed. A failed load or
+// fit leaves the memo before done closes, so waiters retry it.
+type modelEntry struct {
+	done chan struct{}
+	m    *costmodel.Model
+	err  error
+}
 
 // resetFidelity drops cached models and zeroes the counters
 // (ResetRunCache's contract).
 func resetFidelity() {
 	modelMemo.mu.Lock()
-	modelMemo.entries = make(map[runKey]*costmodel.Model)
+	modelMemo.entries = make(map[runKey]*modelEntry)
 	modelMemo.mu.Unlock()
 	fidelityCounters.fits.Store(0)
 	fidelityCounters.memoHits.Store(0)
@@ -141,20 +151,49 @@ func modelCachePath(dir string, key runKey) string {
 
 // calibratedModel returns the fitted analytical model for the options,
 // from the in-process memo, the cache directory, or a fresh
-// calibration. Calibration is deterministic: scenarios, runs, and
-// sample order are fixed functions of the content key, so identical
-// inputs yield bit-identical coefficients on any machine or worker
-// count.
+// calibration. Concurrent callers share one load or fit. Calibration is
+// deterministic: scenarios, runs, and sample order are fixed functions
+// of the content key, so identical inputs yield bit-identical
+// coefficients on any machine or worker count.
 func calibratedModel(ctx context.Context, opt Options) (*costmodel.Model, error) {
 	key := modelKey(opt)
-	modelMemo.mu.Lock()
-	if m, ok := modelMemo.entries[key]; ok {
+	for {
+		modelMemo.mu.Lock()
+		if e, ok := modelMemo.entries[key]; ok {
+			modelMemo.mu.Unlock()
+			select {
+			case <-e.done:
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
+			if e.err != nil {
+				// The owner failed, perhaps only because its own context
+				// ended; its entry is gone, so try again.
+				continue
+			}
+			fidelityCounters.memoHits.Add(1)
+			return e.m, nil
+		}
+		e := &modelEntry{done: make(chan struct{})}
+		modelMemo.entries[key] = e
 		modelMemo.mu.Unlock()
-		fidelityCounters.memoHits.Add(1)
-		return m, nil
-	}
-	modelMemo.mu.Unlock()
 
+		e.m, e.err = loadOrFitModel(ctx, opt, key)
+		if e.err != nil {
+			modelMemo.mu.Lock()
+			if modelMemo.entries[key] == e {
+				delete(modelMemo.entries, key)
+			}
+			modelMemo.mu.Unlock()
+		}
+		close(e.done)
+		return e.m, e.err
+	}
+}
+
+// loadOrFitModel loads the model for key from the cache directory or,
+// failing that, fits it and persists the coefficients there.
+func loadOrFitModel(ctx context.Context, opt Options, key runKey) (*costmodel.Model, error) {
 	dir := runCacheDirectory()
 	if dir != "" {
 		path := modelCachePath(dir, key)
@@ -162,9 +201,6 @@ func calibratedModel(ctx context.Context, opt Options) (*costmodel.Model, error)
 			m, derr := costmodel.Decode(bytes.NewReader(data))
 			if derr == nil {
 				fidelityCounters.diskHits.Add(1)
-				modelMemo.mu.Lock()
-				modelMemo.entries[key] = m
-				modelMemo.mu.Unlock()
 				return m, nil
 			}
 			// Corrupt coefficients quarantine like any other store entry,
@@ -184,9 +220,6 @@ func calibratedModel(ctx context.Context, opt Options) (*costmodel.Model, error)
 		return nil, err
 	}
 	fidelityCounters.fits.Add(1)
-	modelMemo.mu.Lock()
-	modelMemo.entries[key] = m
-	modelMemo.mu.Unlock()
 	if dir != "" {
 		var buf bytes.Buffer
 		err := costmodel.Encode(&buf, m)

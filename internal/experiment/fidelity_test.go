@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -299,5 +300,41 @@ func TestFidelityStatsSurface(t *testing.T) {
 	}
 	if st.EscalatedCells != 0 {
 		t.Fatalf("screening mode escalated %d cells, want 0", st.EscalatedCells)
+	}
+}
+
+// TestCalibrationSingleFlight: concurrent screened sweeps in one
+// process must share one calibration fit (the second waits for the
+// first's model) and render identical reports.
+func TestCalibrationSingleFlight(t *testing.T) {
+	fidelityTestSetup(t)
+	opt := screeningSweepOptions()
+	opt.SweepScenarios = 1
+	var reports [2]string
+	var errs [2]error
+	var wg sync.WaitGroup
+	for i := range reports {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rep, err := Sweep(opt)
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			reports[i] = rep.Render()
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := GetFidelityStats(); st.ModelFits != 1 || st.ModelMemoHits != 1 {
+		t.Fatalf("concurrent sweeps performed %d fits and %d memo hits, want 1 and 1", st.ModelFits, st.ModelMemoHits)
+	}
+	if reports[0] != reports[1] {
+		t.Fatalf("concurrent screened sweeps differ:\n--- first ---\n%s\n--- second ---\n%s", reports[0], reports[1])
 	}
 }

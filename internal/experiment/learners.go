@@ -3,6 +3,7 @@ package experiment
 import (
 	"crypto/sha256"
 	"fmt"
+	"sync"
 
 	"cohmeleon/internal/core"
 	"cohmeleon/internal/costmodel"
@@ -245,32 +246,36 @@ func Learners(opt Options) (*LearnersResult, error) {
 		return learnerCell{exec: exec, mem: mem, decisions: agent.Decisions(), screened: fid != FidelityFull}, nil
 	}
 
-	// Auto pre-pass: screen every cell, then — serially, in index order,
-	// so the decision is identical for any worker count — mark each
-	// scenario's contenders for escalation. Cells outside the band keep
-	// their screened values; the contenders re-run under the simulator
-	// below.
+	// Auto screens a scenario lazily, the first time one of its cells
+	// computes, so fully replayed scenarios cost nothing: every stack of
+	// the scenario is screened serially, in stack order, and its
+	// contenders are marked for escalation — the same decision for any
+	// worker count. Cells outside the band keep their screened values;
+	// the contenders re-run under the simulator below.
 	cells := make([]learnerCell, len(scens)*len(stacks))
-	escalate := make([]bool, len(cells))
-	var screened []learnerCell
-	if fid == FidelityAuto {
-		screened = make([]learnerCell, len(cells))
-		if err := forEachOpt(opt, len(cells), func(i int) error {
-			var err error
-			screened[i], err = trial(preps[i/len(stacks)].ev, i, preps[i/len(stacks)].baseline)
-			fidelityCounters.screened.Add(1)
-			return err
-		}); err != nil {
-			return nil, err
-		}
-		band := escalationBand(model)
-		execs := make([]float64, len(stacks))
-		for si := range scens {
+	type screening struct {
+		once     sync.Once
+		cells    []learnerCell
+		escalate []bool // nil: a clear winner, nothing escalates
+		err      error
+	}
+	screens := make([]screening, len(scens))
+	screen := func(si int) *screening {
+		sg := &screens[si]
+		sg.once.Do(func() {
+			p := &preps[si]
+			sg.cells = make([]learnerCell, len(stacks))
+			execs := make([]float64, len(stacks))
 			for ki := range stacks {
-				execs[ki] = screened[si*len(stacks)+ki].exec
+				if sg.cells[ki], sg.err = trial(p.ev, si*len(stacks)+ki, p.baseline); sg.err != nil {
+					return
+				}
+				fidelityCounters.screened.Add(1)
+				execs[ki] = sg.cells[ki].exec
 			}
-			copy(escalate[si*len(stacks):], contenders(execs, band))
-		}
+			sg.escalate = contenders(execs, escalationBand(model))
+		})
+		return sg
 	}
 
 	// Stage 2: the full grid.
@@ -285,19 +290,26 @@ func Learners(opt Options) (*LearnersResult, error) {
 		return true
 	}
 	computeCell := func(i int) error {
-		p := &preps[i/len(stacks)]
+		si, ki := i/len(stacks), i%len(stacks)
+		p := &preps[si]
 		var err error
 		switch {
-		case fid == FidelityAuto && !escalate[i]:
-			cells[i] = screened[i]
 		case fid == FidelityAuto:
+			sg := screen(si)
+			if sg.err != nil {
+				return sg.err
+			}
+			if sg.escalate == nil || !sg.escalate[ki] {
+				cells[i] = sg.cells[ki]
+				break
+			}
 			// Escalated: cycle-accurate values need the cycle-accurate
 			// baseline (memoized, shared across cells).
-			sc := scens[i/len(stacks)]
+			sc := scens[si]
 			sim := simulator{ctx, sc.Cfg}
 			var baseline *workload.AppResult
 			if baseline, err = sim.run(policy.NewFixed(soc.NonCohDMA), p.test, sc.Seed+3); err != nil {
-				return fmt.Errorf("%s: %s: baseline: %w", sc.Cfg.Name, stacks[i%len(stacks)].Label(), err)
+				return fmt.Errorf("%s: %s: baseline: %w", sc.Cfg.Name, stacks[ki].Label(), err)
 			}
 			if cells[i], err = trial(sim, i, baseline); err != nil {
 				return err

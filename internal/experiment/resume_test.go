@@ -277,3 +277,42 @@ func TestInjectedWorkerPanicSurfacesAndStorePersists(t *testing.T) {
 		t.Errorf("report after worker panic differs from uninterrupted run")
 	}
 }
+
+// TestAutoLearnersResumeScreensNothing: auto learners screens a
+// scenario only when one of its cells computes, so resuming a fully
+// checkpointed run replays every cell, screens none, and renders the
+// same report.
+func TestAutoLearnersResumeScreensNothing(t *testing.T) {
+	resumeTestSetup(t)
+	opt := Tiny()
+	opt.LearnerScenarios = 2
+	opt.Fidelity = FidelityAuto
+	if err := SetRunCacheDir(t.TempDir()); err != nil {
+		t.Fatal(err)
+	}
+	ref, err := Learners(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells := GetCheckpointStats().Saved
+	if st := GetFidelityStats(); st.ScreenedCells != cells {
+		t.Fatalf("first run screened %d of its %d cells, want all", st.ScreenedCells, cells)
+	}
+	ResetRunCache()
+	ResetCheckpointStats()
+	ropt := opt
+	ropt.Resume = true
+	res, err := Learners(ropt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := GetCheckpointStats(); st.Replayed != cells || st.Saved != 0 {
+		t.Fatalf("resume replayed %d and saved %d cells, want %d and 0", st.Replayed, st.Saved, cells)
+	}
+	if st := GetFidelityStats(); st.ScreenedCells != 0 {
+		t.Fatalf("fully replayed resume screened %d cells, want 0", st.ScreenedCells)
+	}
+	if got, want := res.Render(), ref.Render(); got != want {
+		t.Fatalf("resumed report differs:\n--- want ---\n%s\n--- got ---\n%s", want, got)
+	}
+}

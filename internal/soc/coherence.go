@@ -1,6 +1,8 @@
 package soc
 
 import (
+	"math/bits"
+
 	"cohmeleon/internal/cache"
 	"cohmeleon/internal/mem"
 	"cohmeleon/internal/sim"
@@ -129,13 +131,14 @@ func (s *SoC) evictLLCVictim(mt *MemTile, v cache.DirVictim, at sim.Cycles, mete
 
 // writebackToLLC handles a dirty private-cache victim (PutM): the data
 // travels to the line's home LLC, which becomes dirty and drops the
-// owner. Posted: the returned time is when the LLC accepted it, but
-// callers typically do not wait on it.
-func (s *SoC) writebackToLLC(from *agent, fromID int, line mem.LineAddr, at sim.Cycles, meter *Meter) sim.Cycles {
+// owner. llcWay is the victim's LLC way hint (cache.Victim.LLCWay).
+// Posted: the returned time is when the LLC accepted it, but callers
+// typically do not wait on it.
+func (s *SoC) writebackToLLC(fromID int, line mem.LineAddr, llcWay int32, at sim.Cycles, meter *Meter) sim.Cycles {
 	mt := s.homeTile(line)
 	t := s.cohPathTo(fromID, mt.Part).wb.Send(mem.LineBytes, at)
 	_, t = mt.Port.Acquire(t, s.P.LLCFillCycles)
-	e := mt.LLC.Probe(line)
+	e := mt.LLC.ProbeAt(llcWay, line)
 	if e == nil {
 		// The LLC lost the entry (should not happen under inclusion, but
 		// stay robust): allocate it dirty.
@@ -233,67 +236,81 @@ func (s *SoC) cachedGroupAccess(agentID int, start mem.LineAddr, n int64, write 
 	if write {
 		// Uniform Modified fill: victims defer past the batch (their
 		// disposal never touches this cache).
-		victims := ag.cache.InsertRun(misses, cache.Modified, s.l2VictScratch[:0])
+		victims := ag.cache.InsertRun(misses, cache.Modified, run.Ways, s.l2VictScratch[:0])
 		defer func() { s.l2VictScratch = victims[:0] }()
 		for _, v := range victims {
-			s.handleL2Victim(ag, agentID, v, t, meter)
+			s.handleL2Victim(agentID, v, t, meter)
 		}
 		return t
 	}
 	for i, line := range misses {
 		// The fill state depends on directory state that this loop's own
 		// victim disposal can move, so reads stay per line; the run's way
-		// indices make the probe O(1).
+		// indices make the probe O(1), and the private cache keeps them
+		// as the lines' hints for their own later victim disposal.
 		st := cache.Exclusive
 		if e := mt.LLC.ProbeAt(run.Ways[i], line); e != nil && (e.HasSharers() || e.Owner != agentID) {
 			st = cache.Shared
 		}
-		if v := ag.cache.Insert(line, st); v.Valid {
-			s.handleL2Victim(ag, agentID, v, t, meter)
+		if v := ag.cache.Insert(line, st, run.Ways[i]); v.Valid {
+			s.handleL2Victim(agentID, v, t, meter)
 		}
 	}
 	return t
 }
 
-// walkGroupTiming replays the per-line timing of one directory run: it
-// fuses the pipeline occupancy of consecutive plain lines into single
-// port reservations and calls handle — at exactly the reference flow's
-// cursor position — for each line whose entry needs recalls or
-// invalidations, interleaving victim disposal in line order.
+// walkGroupTiming replays the per-line timing of one directory run. The
+// reference flow reserves each line's pipeline occupancy (lookup, plus
+// the miss cost on a miss) before handling it; the walk visits only the
+// event lines — complex hits, dirty victims and recall victims — in line
+// order, and before each one reserves the occupancy of every line since
+// the previous event in one go, which is the same cursor arithmetic.
+// handle is called for each complex hit; a dirty victim without private
+// copies only posts its writeback to DRAM, as evictLLCVictim would.
 func (s *SoC) walkGroupTiming(mt *MemTile, lines []mem.LineAddr, run *cache.DirRun, lookup sim.Cycles, t sim.Cycles, meter *Meter, handle func(e *cache.DirEntry, t sim.Cycles) sim.Cycles) sim.Cycles {
-	if len(run.Victims) == 0 && run.ComplexMask == 0 {
+	events := run.ComplexMask | run.DirtyMask
+	for _, v := range run.Victims {
+		events |= 1 << uint(v.Idx)
+	}
+	if events == 0 {
 		// The whole group is plain — the uniform case batching exists
 		// for: one reservation covers every line's pipeline occupancy.
 		_, t = mt.Port.Acquire(t,
 			sim.Cycles(len(lines))*lookup+sim.Cycles(run.Misses)*s.P.LLCMissPerLine)
 		return t
 	}
-	var pending sim.Cycles
-	vi := 0
-	for i := range lines {
-		bit := uint64(1) << uint(i)
-		pending += lookup
-		if run.HitMask&bit == 0 {
-			pending += s.P.LLCMissPerLine
-		}
-		hasVictim := vi < len(run.Victims) && int(run.Victims[vi].Idx) == i
-		if !hasVictim && run.ComplexMask&bit == 0 {
-			continue
-		}
-		_, t = mt.Port.Acquire(t, pending)
-		pending = 0
-		if hasVictim {
+	missMask := ^run.HitMask
+	next, vi := 0, 0 // next: the first line not yet reserved
+	for events != 0 {
+		i := bits.TrailingZeros64(events)
+		events &= events - 1
+		_, t = mt.Port.Acquire(t, s.runOccupancy(missMask, next, i, lookup))
+		next = i + 1
+		switch bit := uint64(1) << uint(i); {
+		case run.ComplexMask&bit != 0:
+			t = handle(mt.LLC.EntryAt(run.Ways[i]), t)
+		case run.DirtyMask&bit != 0:
+			mt.DRAM.Post(t, 1, true)
+			meter.add(1)
+		default:
 			t = s.evictLLCVictim(mt, run.Victims[vi].V, t, meter)
 			vi++
 		}
-		if run.ComplexMask&bit != 0 {
-			t = handle(mt.LLC.EntryAt(run.Ways[i]), t)
+	}
+	if next < len(lines) {
+		if p := s.runOccupancy(missMask, next, len(lines)-1, lookup); p > 0 {
+			_, t = mt.Port.Acquire(t, p)
 		}
 	}
-	if pending > 0 {
-		_, t = mt.Port.Acquire(t, pending)
-	}
 	return t
+}
+
+// runOccupancy is the LLC pipeline occupancy of run lines from..to: a
+// lookup each, plus the miss cost for each line missMask flags.
+func (s *SoC) runOccupancy(missMask uint64, from, to int, lookup sim.Cycles) sim.Cycles {
+	span := (uint64(2)<<uint(to) - 1) &^ (uint64(1)<<uint(from) - 1)
+	return sim.Cycles(to+1-from)*lookup +
+		sim.Cycles(bits.OnesCount64(missMask&span))*s.P.LLCMissPerLine
 }
 
 // dmaGroupLLC serves one DMA group through the LLC: the LLCCohDMA and

@@ -93,9 +93,9 @@ func (s *SoC) cachedGroupAccessRef(agentID int, start mem.LineAddr, n int64, wri
 		} else if e := mt.LLC.Probe(line); e != nil && (e.HasSharers() || e.Owner != agentID) {
 			st = cache.Shared
 		}
-		v := ag.cache.Insert(line, st)
+		v := ag.cache.Insert(line, st, -1)
 		if v.Valid {
-			s.handleL2Victim(ag, agentID, v, t, meter)
+			s.handleL2Victim(agentID, v, t, meter)
 		}
 	}
 	return t
@@ -103,16 +103,18 @@ func (s *SoC) cachedGroupAccessRef(agentID int, start mem.LineAddr, n int64, wri
 
 // handleL2Victim disposes of a line displaced from a private cache:
 // dirty victims write back to their home LLC (posted); clean victims
-// evict silently, leaving the directory to be lazily cleaned up.
-func (s *SoC) handleL2Victim(ag *agent, agentID int, v cache.Victim, t sim.Cycles, meter *Meter) {
+// evict silently, leaving the directory to be lazily cleaned up. Both
+// find the LLC entry through the victim's way hint, which the batched
+// flows record and the reference flows leave at -1.
+func (s *SoC) handleL2Victim(agentID int, v cache.Victim, t sim.Cycles, meter *Meter) {
 	if v.State.Dirty() {
-		s.writebackToLLC(ag, agentID, v.Line, t, meter)
+		s.writebackToLLC(agentID, v.Line, v.LLCWay, t, meter)
 		return
 	}
 	// Silent clean eviction: directory state goes stale; recalls to
 	// absent lines are tolerated.
 	llc := s.homeTile(v.Line).LLC
-	if e := llc.Probe(v.Line); e != nil {
+	if e := llc.ProbeAt(v.LLCWay, v.Line); e != nil {
 		if e.Owner == agentID {
 			llc.SetOwner(e, cache.NoOwner)
 		}
