@@ -10,6 +10,7 @@ package costmodel
 // learner guards).
 
 import (
+	"runtime"
 	"testing"
 
 	"cohmeleon/internal/policy"
@@ -60,7 +61,9 @@ func TestZeroAllocValidate(t *testing.T) {
 // TestZeroAllocPerInvocationReplay: Run and Train allocate per run, not
 // per invocation — an app and its twin with twice the loops (twice the
 // invocations, the same phases and threads) cost the same number of
-// allocations, for a fixed policy and for a learning agent.
+// allocations and the same bytes, for a fixed policy and for a learning
+// agent. The byte check sees what the count cannot: one allocation
+// whose size grows with the app.
 func TestZeroAllocPerInvocationReplay(t *testing.T) {
 	est := testEstimator(t)
 	app := testApp(t, est, 3)
@@ -84,6 +87,11 @@ func TestZeroAllocPerInvocationReplay(t *testing.T) {
 				t.Fatal(err)
 			}
 		}},
+		{"Train/fixed", func(a *workload.App) {
+			if err := est.Train(fixed, a); err != nil {
+				t.Fatal(err)
+			}
+		}},
 		{"Train/agent", func(a *workload.App) {
 			if err := est.Train(agent, a); err != nil {
 				t.Fatal(err)
@@ -97,5 +105,30 @@ func TestZeroAllocPerInvocationReplay(t *testing.T) {
 			t.Errorf("%s: %.1f allocs for %d invocations, %.1f for %d — allocations grow with invocations",
 				c.name, base, app.Invocations(), doubled, twin.Invocations())
 		}
+		baseB := bytesPerRun(20, func() { c.run(app) })
+		doubledB := bytesPerRun(20, func() { c.run(twin) })
+		if doubledB > baseB+byteSlack {
+			t.Errorf("%s: %d bytes for %d invocations, %d for %d — allocated volume grows with invocations",
+				c.name, baseB, app.Invocations(), doubledB, twin.Invocations())
+		}
 	}
+}
+
+// byteSlack absorbs the runtime's own occasional small allocations in
+// a byte-count comparison (a record per invocation would add hundreds
+// of bytes).
+const byteSlack = 64
+
+// bytesPerRun is testing.AllocsPerRun for volume: the heap bytes one
+// call of f allocates, averaged over runs after a warm-up call.
+func bytesPerRun(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
 }

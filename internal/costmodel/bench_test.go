@@ -33,10 +33,10 @@ func BenchmarkCostModelEstimate(b *testing.B) {
 }
 
 // BenchmarkEstimatorRun measures one analytical replay of a ~300-
-// invocation generated app on SoC6 under a fixed policy, keeping every
-// invocation record (the screened roster's evaluation runs). Its
-// allocs/op is per run: TestZeroAllocPerInvocationReplay enforces that
-// it does not grow with the invocation count.
+// invocation generated app on SoC6 under a fixed policy, returning the
+// phase totals (the screened roster's evaluation runs). Its allocs/op
+// and B/op are per run: TestZeroAllocPerInvocationReplay enforces that
+// they do not grow with the invocation count.
 func BenchmarkEstimatorRun(b *testing.B) {
 	est := testEstimator(b)
 	app := testApp(b, est, 1000)
@@ -52,7 +52,7 @@ func BenchmarkEstimatorRun(b *testing.B) {
 
 // BenchmarkEstimatorTrain measures one training replay of the same app
 // by a learning agent (the screened cell's training iterations), which
-// keeps no invocation records.
+// builds no result.
 func BenchmarkEstimatorTrain(b *testing.B) {
 	est := testEstimator(b)
 	app := testApp(b, est, 1000)

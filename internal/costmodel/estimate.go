@@ -11,15 +11,16 @@ import (
 )
 
 // Estimator drives whole applications through the analytical model,
-// producing workload.AppResult values shaped like the cycle-accurate
-// runner's so the experiment layer's normalization and reporting code
-// consumes estimates unchanged. It replays the runner's structure —
-// phases in sequence, threads in a phase concurrent, each thread
-// serially looping over its accelerator chain — but replaces the
-// event-driven simulation of each invocation with one model evaluation:
-// policies still sense a (synthesized) system status and still observe
-// a (synthesized) result, so learning policies train against the model
-// exactly as they would against the simulator.
+// producing workload.AppResult phase and app totals shaped like the
+// cycle-accurate runner's, so the experiment layer's normalization
+// code consumes estimates unchanged; it keeps no invocation records.
+// It replays the runner's structure — phases in sequence, threads in a
+// phase concurrent, each thread serially looping over its accelerator
+// chain — but replaces the event-driven simulation of each invocation
+// with one model evaluation: policies still sense a (synthesized)
+// system status and still observe a (synthesized) result, so learning
+// policies train against the model exactly as they would against the
+// simulator.
 //
 // The synthesized sensing makes one deliberate approximation: all
 // datasets are treated as resident on a single memory partition, which
@@ -59,11 +60,7 @@ func (e *Estimator) Model() *Model { return e.m }
 
 // threadState tracks one thread's analytic execution through a phase.
 type threadState struct {
-	spec *workload.ThreadSpec
-	// first is the slab index of the thread's first invocation record:
-	// records are laid out thread-major within a phase, the order the
-	// runner reports them in.
-	first   int
+	spec    *workload.ThreadSpec
 	lines   int64
 	steps   int
 	started bool
@@ -73,76 +70,62 @@ type threadState struct {
 }
 
 // Run estimates an application run under pol. The returned AppResult
-// mirrors the cycle-accurate runner's shape: per-phase cycle and
-// off-chip totals plus every synthesized invocation result, delivered
-// to pol.Observe in the same deterministic order they are decided.
+// carries the cycle-accurate runner's per-phase cycle and off-chip
+// totals and the app totals, but no invocation records: the
+// synthesized invocation results reach only pol.Observe, in the same
+// deterministic order the runner decides them.
 func (e *Estimator) Run(pol esp.Policy, app *workload.App) (*workload.AppResult, error) {
-	return e.replay(pol, app, true)
+	res := &workload.AppResult{App: app, Policy: pol.Name(),
+		Phases: make([]workload.PhaseResult, 0, len(app.Phases))}
+	if err := e.replay(pol, app, res); err != nil {
+		return nil, err
+	}
+	return res, nil
 }
 
 // Train replays app under pol exactly as Run does — the same decisions,
-// observations and policy state afterwards — but keeps no invocation
-// records: every observation reuses one esp.Result, which is safe under
-// the esp.Policy contract (policies retain neither the context nor the
-// result past the call). Training loops discard their runs' results,
-// so they use Train.
+// observations and policy state afterwards — but builds no result.
+// Training loops keep only what the policy learned, so they use Train.
 func (e *Estimator) Train(pol esp.Policy, app *workload.App) error {
-	_, err := e.replay(pol, app, false)
-	return err
+	return e.replay(pol, app, nil)
 }
 
-// replay is the step-major analytic replay behind Run and Train. Its
-// scratch space — the sensed context, the thread states and the result
-// records — is allocated per call, sized from the app's step counts, so
-// concurrent replays on one Estimator never share it and a replay's
-// allocations do not grow with its invocation count. keep selects
-// whether the invocation records are returned (Run) or a single record
-// is recycled through every observation (Train).
-func (e *Estimator) replay(pol esp.Policy, app *workload.App, keep bool) (*workload.AppResult, error) {
+// replay is the step-major analytic replay behind Run and Train; it
+// appends each phase's totals to res unless res is nil. One esp.Result
+// is reused for every observation, which is safe under the esp.Policy
+// contract (policies retain neither the context nor the result past
+// the call). The scratch space — the sensed context, the result and
+// the thread states — is allocated per call, so concurrent replays on
+// one Estimator never share it and a replay's allocations do not grow
+// with its invocation count.
+func (e *Estimator) replay(pol esp.Policy, app *workload.App, res *workload.AppResult) error {
 	cfg := e.ex.Config()
 	if err := app.Validate(cfg); err != nil {
-		return nil, err
+		return err
 	}
 	ap, fineGrain := pol.(esp.ActionPolicy)
 	ctx := &esp.Context{}
+	r := &esp.Result{}
 	maxThreads := 0
 	for pi := range app.Phases {
 		maxThreads = max(maxThreads, len(app.Phases[pi].Threads))
 	}
 	ths := make([]threadState, maxThreads)
-
-	var res *workload.AppResult
-	var slab []esp.Result
-	var ptrs []*esp.Result
-	if keep {
-		res = &workload.AppResult{App: app, Policy: pol.Name(),
-			Phases: make([]workload.PhaseResult, 0, len(app.Phases))}
-		slab = make([]esp.Result, app.Invocations())
-		ptrs = make([]*esp.Result, len(slab))
-		for i := range slab {
-			ptrs[i] = &slab[i]
-		}
-	} else {
-		slab = make([]esp.Result, 1)
-	}
 	var x FeatureVec
-	base := 0 // slab index of the current phase's first record
 
 	for pi := range app.Phases {
 		phase := &app.Phases[pi]
 		ths := ths[:len(phase.Threads)]
-		maxSteps, first := 0, base
+		maxSteps := 0
 		for ti := range phase.Threads {
 			ts := &phase.Threads[ti]
 			st := &ths[ti]
 			*st = threadState{
 				spec:  ts,
-				first: first,
 				lines: (ts.FootprintBytes + mem.LineBytes - 1) / mem.LineBytes,
 				steps: ts.Invocations(),
 				last:  soc.ModeAction(soc.NonCohDMA),
 			}
-			first += st.steps
 			// Dataset initialization (the runner's warm-up touch).
 			e.touch(st, st.lines)
 			maxSteps = max(maxSteps, st.steps)
@@ -168,7 +151,7 @@ func (e *Estimator) replay(pol esp.Policy, app *workload.App, keep bool) (*workl
 
 				ai, ok := e.ex.AccIndex(st.spec.Chain[link])
 				if !ok {
-					return nil, fmt.Errorf("costmodel: unknown accelerator %q", st.spec.Chain[link])
+					return fmt.Errorf("costmodel: unknown accelerator %q", st.spec.Chain[link])
 				}
 				e.sense(ctx, ai, st.spec.FootprintBytes, ths, ti, k)
 				var act soc.Action
@@ -178,7 +161,7 @@ func (e *Estimator) replay(pol esp.Policy, app *workload.App, keep bool) (*workl
 					act = soc.ModeAction(pol.Decide(ctx))
 				}
 				if !ctx.Allows(act.Hot()) || (act.IsSplit() && !ctx.Allows(act.Cold())) {
-					return nil, fmt.Errorf("costmodel: policy %s chose unavailable action %s on %s",
+					return fmt.Errorf("costmodel: policy %s chose unavailable action %s on %s",
 						pol.Name(), act, st.spec.Chain[link])
 				}
 
@@ -186,10 +169,6 @@ func (e *Estimator) replay(pol esp.Policy, app *workload.App, keep bool) (*workl
 				estExec, estMem := e.m.Estimate(&x)
 				estExec += float64(pol.OverheadCycles())
 
-				r := &slab[0]
-				if keep {
-					r = &slab[st.first+k]
-				}
 				e.result(r, ai, act, st.spec.FootprintBytes, estExec, estMem, pol)
 				pol.Observe(r)
 				st.last = act
@@ -212,17 +191,13 @@ func (e *Estimator) replay(pol esp.Policy, app *workload.App, keep bool) (*workl
 		if pr.Cycles < 1 {
 			pr.Cycles = 1
 		}
-		if keep {
-			if first > base {
-				pr.Invocations = ptrs[base:first:first]
-			}
+		if res != nil {
 			res.Phases = append(res.Phases, pr)
 			res.Cycles += pr.Cycles
 			res.OffChip += pr.OffChip
 		}
-		base = first
 	}
-	return res, nil
+	return nil
 }
 
 // touch charges a CPU touch of n lines to the thread: datapath time per

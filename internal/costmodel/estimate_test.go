@@ -67,9 +67,8 @@ func testAgent(tb testing.TB, fineGrain bool) *core.Cohmeleon {
 }
 
 // referenceRun is the replay as first written: a fresh Context per
-// decision, a fresh Result per invocation, per-thread result lists
-// grown by appending and concatenated thread-major per phase. Run must
-// reproduce it field for field.
+// decision and a fresh Result per invocation. Run must reproduce its
+// totals and, field for field, the results it observes.
 func referenceRun(e *Estimator, pol esp.Policy, app *workload.App) (*workload.AppResult, error) {
 	if err := app.Validate(e.ex.Config()); err != nil {
 		return nil, err
@@ -81,7 +80,6 @@ func referenceRun(e *Estimator, pol esp.Policy, app *workload.App) (*workload.Ap
 		phase := &app.Phases[pi]
 		pr := workload.PhaseResult{Name: phase.Name}
 		ths := make([]threadState, len(phase.Threads))
-		results := make([][]*esp.Result, len(phase.Threads))
 		maxSteps := 0
 		for ti := range phase.Threads {
 			ts := &phase.Threads[ti]
@@ -121,7 +119,6 @@ func referenceRun(e *Estimator, pol esp.Policy, app *workload.App) (*workload.Ap
 				r := &esp.Result{}
 				e.result(r, ai, act, st.spec.FootprintBytes, estExec, estMem, pol)
 				pol.Observe(r)
-				results[ti] = append(results[ti], r)
 				st.last = act
 				st.started = true
 				st.time += estExec
@@ -137,7 +134,6 @@ func referenceRun(e *Estimator, pol esp.Policy, app *workload.App) (*workload.Ap
 				pr.Cycles = sim.Cycles(st.time)
 			}
 			pr.OffChip += int64(st.offchip)
-			pr.Invocations = append(pr.Invocations, results[ti]...)
 		}
 		if pr.Cycles < 1 {
 			pr.Cycles = 1
@@ -149,10 +145,52 @@ func referenceRun(e *Estimator, pol esp.Policy, app *workload.App) (*workload.Ap
 	return res, nil
 }
 
+// recorder wraps a policy and copies every result it observes, in
+// decision order: the stream a learning policy trains on.
+type recorder struct {
+	esp.Policy
+	seen []esp.Result
+}
+
+func (r *recorder) Observe(res *esp.Result) {
+	r.seen = append(r.seen, *res)
+	r.Policy.Observe(res)
+}
+
+// actionRecorder keeps an action policy's fine-grain decisions visible
+// through the wrapper.
+type actionRecorder struct{ *recorder }
+
+func (r actionRecorder) DecideAction(ctx *esp.Context) soc.Action {
+	return r.Policy.(esp.ActionPolicy).DecideAction(ctx)
+}
+
+// recording wraps pol in a recorder that keeps pol's interfaces.
+func recording(pol esp.Policy) (esp.Policy, *recorder) {
+	rec := &recorder{Policy: pol}
+	if _, ok := pol.(esp.ActionPolicy); ok {
+		return actionRecorder{rec}, rec
+	}
+	return rec, rec
+}
+
+// recordedRun runs pol through run under a recorder and returns the
+// result with the observed stream.
+func recordedRun(t *testing.T, run func(esp.Policy, *workload.App) (*workload.AppResult, error),
+	pol esp.Policy, app *workload.App) (*workload.AppResult, []esp.Result) {
+	t.Helper()
+	wrapped, rec := recording(pol)
+	res, err := run(wrapped, app)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, rec.seen
+}
+
 // compareResults pins got against want field by field: totals, every
-// phase's cycles and off-chip count, and every invocation record in
-// order. No two records of got may share a pointer.
-func compareResults(t *testing.T, got, want *workload.AppResult) {
+// phase's cycles and off-chip count, and every observed result in
+// decision order. got must carry no invocation records.
+func compareResults(t *testing.T, got, want *workload.AppResult, gotSeen, wantSeen []esp.Result) {
 	t.Helper()
 	if got.App != want.App || got.Policy != want.Policy || got.Cycles != want.Cycles || got.OffChip != want.OffChip {
 		t.Fatalf("totals: got (%p %s %d cycles %d off-chip), want (%p %s %d %d)",
@@ -161,24 +199,23 @@ func compareResults(t *testing.T, got, want *workload.AppResult) {
 	if len(got.Phases) != len(want.Phases) {
 		t.Fatalf("%d phases, want %d", len(got.Phases), len(want.Phases))
 	}
-	seen := make(map[*esp.Result]bool)
 	for pi := range want.Phases {
 		g, w := &got.Phases[pi], &want.Phases[pi]
 		if g.Name != w.Name || g.Cycles != w.Cycles || g.OffChip != w.OffChip {
 			t.Fatalf("phase %d: got (%s %d cycles %d off-chip), want (%s %d %d)",
 				pi, g.Name, g.Cycles, g.OffChip, w.Name, w.Cycles, w.OffChip)
 		}
-		if len(g.Invocations) != len(w.Invocations) {
-			t.Fatalf("phase %d: %d invocations, want %d", pi, len(g.Invocations), len(w.Invocations))
+		if len(g.Invocations) != 0 {
+			t.Fatalf("phase %d: %d invocation records, want none", pi, len(g.Invocations))
 		}
-		for i, r := range g.Invocations {
-			if *r != *w.Invocations[i] {
-				t.Fatalf("phase %d invocation %d: got %+v, want %+v", pi, i, *r, *w.Invocations[i])
-			}
-			if seen[r] {
-				t.Fatalf("phase %d invocation %d shares its record with an earlier invocation", pi, i)
-			}
-			seen[r] = true
+	}
+	if len(gotSeen) != len(wantSeen) || len(gotSeen) != got.App.Invocations() {
+		t.Fatalf("observed %d results, want %d (app has %d invocations)",
+			len(gotSeen), len(wantSeen), got.App.Invocations())
+	}
+	for i := range wantSeen {
+		if gotSeen[i] != wantSeen[i] {
+			t.Fatalf("observation %d: got %+v, want %+v", i, gotSeen[i], wantSeen[i])
 		}
 	}
 }
@@ -186,33 +223,26 @@ func compareResults(t *testing.T, got, want *workload.AppResult) {
 // TestEstimatorRunMatchesReference: Run reproduces the reference replay
 // for a fixed policy and, run after run, for a learning agent trained
 // through it (the agent's observations feed its next decisions, so any
-// divergence in a record compounds).
+// divergence in an observation compounds). Run keeps no invocation
+// records, so the comparison is of the observation streams, which
+// carry every field the records did, and of the phase totals.
 func TestEstimatorRunMatchesReference(t *testing.T) {
 	est := testEstimator(t)
 	app := testApp(t, est, 3)
+	reference := func(pol esp.Policy, app *workload.App) (*workload.AppResult, error) {
+		return referenceRun(est, pol, app)
+	}
 	for _, mode := range []soc.Mode{soc.NonCohDMA, soc.FullyCoh} {
-		got, err := est.Run(policy.NewFixed(mode), app)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := referenceRun(est, policy.NewFixed(mode), app)
-		if err != nil {
-			t.Fatal(err)
-		}
-		compareResults(t, got, want)
+		got, gotSeen := recordedRun(t, est.Run, policy.NewFixed(mode), app)
+		want, wantSeen := recordedRun(t, reference, policy.NewFixed(mode), app)
+		compareResults(t, got, want, gotSeen, wantSeen)
 	}
 	for _, fineGrain := range []bool{false, true} {
 		a, b := testAgent(t, fineGrain), testAgent(t, fineGrain)
 		for it := 0; it < 4; it++ {
-			got, err := est.Run(a, app)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := referenceRun(est, b, app)
-			if err != nil {
-				t.Fatal(err)
-			}
-			compareResults(t, got, want)
+			got, gotSeen := recordedRun(t, est.Run, a, app)
+			want, wantSeen := recordedRun(t, reference, b, app)
+			compareResults(t, got, want, gotSeen, wantSeen)
 			a.EndIteration()
 			b.EndIteration()
 		}
@@ -255,15 +285,9 @@ func TestEstimatorTrainMatchesRun(t *testing.T) {
 		}
 		viaRun.Freeze()
 		viaTrain.Freeze()
-		got, err := est.Run(viaTrain, test)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := est.Run(viaRun, test)
-		if err != nil {
-			t.Fatal(err)
-		}
-		compareResults(t, got, want)
+		got, gotSeen := recordedRun(t, est.Run, viaTrain, test)
+		want, wantSeen := recordedRun(t, est.Run, viaRun, test)
+		compareResults(t, got, want, gotSeen, wantSeen)
 	}
 }
 

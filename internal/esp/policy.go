@@ -21,8 +21,8 @@ import (
 // DecideAction) or the *Result passed to Observe after the call
 // returns: copy out whatever they keep. Callers may reuse both — the
 // analytical replay (costmodel.Estimator) fills one Context in place
-// for every decision of a run, and its training replay recycles one
-// Result through every observation.
+// for every decision of a run and recycles one Result through every
+// observation.
 type Policy interface {
 	// Name identifies the policy in reports.
 	Name() string

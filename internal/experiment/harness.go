@@ -94,7 +94,8 @@ func simulateApp(cfg *soc.Config, pol esp.Policy, app *workload.App, seed uint64
 // only the choice of implementation — simulator (cycle-accurate,
 // memoized) or estimator (the calibrated analytical model).
 type evaluator interface {
-	// run measures pol on app and returns the result.
+	// run measures pol on app and returns the result; the estimator's
+	// results hold phase totals only.
 	run(pol esp.Policy, app *workload.App, seed uint64) (*workload.AppResult, error)
 	// train runs pol on app for the policy's sake alone: the result is
 	// discarded, so an implementation may skip building it.
@@ -118,7 +119,9 @@ func (s simulator) train(pol esp.Policy, app *workload.App, seed uint64) error {
 
 // estimator evaluates through the analytical model. The model is
 // deterministic and draws no randomness, so the seed is ignored.
-// Training replays through the record-free Estimator.Train.
+// Screened results carry per-phase and app totals only, no invocation
+// records: the sweep and learners cells read them through
+// geoNormalized, which needs nothing else.
 type estimator struct{ est *costmodel.Estimator }
 
 // newEstimator pairs the fitted model with cfg's feature extractor.

@@ -17,8 +17,10 @@ import (
 )
 
 // The default algorithm's steady-state decide+update must not
-// allocate: table lookups index fixed arrays and the ε-greedy branch
-// draws from a value-type RNG.
+// allocate: a state's table row is allocated once, on its first update
+// (AllocsPerRun's warm-up call touches every state the loop visits),
+// lookups then index that row, and the ε-greedy branch draws from a
+// value-type RNG.
 func TestZeroAllocDefaultDecideUpdate(t *testing.T) {
 	a := NewEpsilonGreedyQ()
 	rng := sim.NewRNG(3)

@@ -197,6 +197,13 @@ func TestQTableClone(t *testing.T) {
 	if c.Q(1, aCohDMA) != 0.5 {
 		t.Fatal("clone aliases original")
 	}
+	// A row the original first touches after the clone stays zero in
+	// the clone.
+	q.Update(9, aLLCCoh, 1, 1)
+	if c.Q(9, aLLCCoh) != 0 || c.Visits(9, aLLCCoh) != 0 || c.TotalVisits() != 1 {
+		t.Fatalf("clone sees a row touched after cloning: Q %g, visits %d, total %d",
+			c.Q(9, aLLCCoh), c.Visits(9, aLLCCoh), c.TotalVisits())
+	}
 }
 
 // Property: Q-values stay within [min(0,R..), max(0,R..)] for rewards in
@@ -241,6 +248,32 @@ func TestMergeTables(t *testing.T) {
 	empty := MergeTables(nil)
 	if empty.TotalVisits() != 0 {
 		t.Fatal("empty merge should be a zeroed table")
+	}
+
+	// Tables that touched different rows merge into the union of their
+	// rows, each cell carried over unchanged; rows neither touched stay
+	// zero.
+	a, b = NewQTable(), NewQTable()
+	a.Update(3, aCohDMA, 0.75, 0.5)
+	a.UpdateMean(3, aFullCoh, 0.2)
+	b.Update(200, aNonCoh, 0.4, 0.25)
+	b.Update(200, aNonCoh, 0.9, 0.25)
+	m = MergeTables([]*QTable{a, b})
+	for _, c := range []struct {
+		src *QTable
+		s   State
+		a   soc.Action
+	}{{a, 3, aCohDMA}, {a, 3, aFullCoh}, {b, 200, aNonCoh}} {
+		if m.Q(c.s, c.a) != c.src.Q(c.s, c.a) || m.Visits(c.s, c.a) != c.src.Visits(c.s, c.a) {
+			t.Fatalf("cell (%d,%v): merged (%g, %d), want (%g, %d)", c.s, c.a,
+				m.Q(c.s, c.a), m.Visits(c.s, c.a), c.src.Q(c.s, c.a), c.src.Visits(c.s, c.a))
+		}
+	}
+	if m.TotalVisits() != a.TotalVisits()+b.TotalVisits() {
+		t.Fatalf("merged visits %d, want %d", m.TotalVisits(), a.TotalVisits()+b.TotalVisits())
+	}
+	if m.Q(3, aNonCoh) != 0 || m.Q(200, aCohDMA) != 0 || m.Visits(100, aNonCoh) != 0 {
+		t.Fatal("cells no input visited should stay zero")
 	}
 }
 

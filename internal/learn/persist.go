@@ -117,16 +117,22 @@ func MergeStates(states []*TabularState) (*TabularState, error) {
 	return out, nil
 }
 
-// tableToImage serializes one table.
+// tableToImage serializes one table; untouched rows are written as
+// zeros, so the image is the same whether or not a row was allocated.
 func tableToImage(name string, t *QTable) namedImage {
 	img := namedImage{
 		Name:   name,
 		Q:      make([][]float64, NumStates),
 		Visits: make([][]int64, NumStates),
 	}
-	for s := 0; s < NumStates; s++ {
-		img.Q[s] = append([]float64(nil), t.q[s][:]...)
-		img.Visits[s] = append([]int64(nil), t.visits[s][:]...)
+	for s, r := range t.rows {
+		if r == nil {
+			img.Q[s] = make([]float64, soc.NumActions)
+			img.Visits[s] = make([]int64, soc.NumActions)
+			continue
+		}
+		img.Q[s] = append([]float64(nil), r.q[:]...)
+		img.Visits[s] = append([]int64(nil), r.visits[:]...)
 	}
 	return img
 }
@@ -139,7 +145,9 @@ func tableToImage(name string, t *QTable) namedImage {
 // can declare the right States/Modes yet carry short (or missing)
 // slices, so the actual slice lengths are validated before any
 // indexing, and every cell is checked for values no training run can
-// produce (NaN/Inf rewards, negative visit counts).
+// produce (NaN/Inf rewards, negative visit counts). A row is allocated
+// only when one of its cells is bit-nonzero, so a stored −0.0 survives
+// the round trip.
 func tableFromImage(label string, q [][]float64, visits [][]int64, width int) (*QTable, error) {
 	if len(q) != NumStates || len(visits) != NumStates {
 		return nil, fmt.Errorf("learn: truncated %s: %d Q rows and %d visit rows, want %d",
@@ -160,10 +168,23 @@ func tableFromImage(label string, q [][]float64, visits [][]int64, width int) (*
 				return nil, fmt.Errorf("learn: corrupt %s: visits[%d][%d] = %d", label, s, m, v)
 			}
 		}
-		copy(t.q[s][:], q[s])
-		copy(t.visits[s][:], visits[s])
+		if rowHoldsData(q[s], visits[s]) {
+			r := t.touch(State(s))
+			copy(r.q[:], q[s])
+			copy(r.visits[:], visits[s])
+		}
 	}
 	return t, nil
+}
+
+// rowHoldsData reports whether any cell of a stored row is bit-nonzero.
+func rowHoldsData(q []float64, visits []int64) bool {
+	for i := range q {
+		if math.Float64bits(q[i]) != 0 || visits[i] != 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // EncodeState serializes a learner snapshot in the current format.

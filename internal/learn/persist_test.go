@@ -38,6 +38,48 @@ func TestQTableRoundTrip(t *testing.T) {
 	}
 }
 
+// TestStateExportRoundTripIsByteIdentical: exporting a trained table,
+// importing it and exporting again yields the same bytes, both for a
+// trained table and for an image holding a −0.0 cell with no visits
+// (its row must be kept, bit for bit).
+func TestStateExportRoundTripIsByteIdentical(t *testing.T) {
+	encode := func(st *TabularState) []byte {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := EncodeState(&buf, st); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	roundTrip := func(first []byte) *TabularState {
+		t.Helper()
+		st, err := DecodeState(bytes.NewReader(first))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if second := encode(st); !bytes.Equal(first, second) {
+			t.Fatalf("re-export differs: %d bytes, then %d", len(first), len(second))
+		}
+		return st
+	}
+
+	a := NewEpsilonGreedyQ()
+	rng := sim.NewRNG(11)
+	for i := 0; i < 400; i++ {
+		s := State(rng.Intn(NumStates))
+		m := a.Decide(rng, s, soc.UniformActions[:], 0.5)
+		a.Update(rng, s, m, rng.Float64(), 0.25)
+	}
+	roundTrip(encode(Snapshot(a)))
+
+	img := validV3Image()
+	img.Tables[0].Q[5][2] = math.Copysign(0, -1)
+	st := roundTrip(encodeImage(t, img))
+	if v := st.Tables[0].Table.Q(5, soc.Action(2)); !math.Signbit(v) {
+		t.Fatalf("Q(5,2) = %g, want -0", v)
+	}
+}
+
 func TestQTableFileRoundTrip(t *testing.T) {
 	q := NewQTable()
 	q.Update(7, aLLCCoh, 0.9, 0.25)

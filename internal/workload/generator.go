@@ -154,7 +154,7 @@ func Generate(cfg *soc.Config, g GenConfig, seed uint64) (*App, error) {
 	app := &App{Name: fmt.Sprintf("%s-gen-%d", cfg.Name, seed)}
 	for pi := 0; app.Invocations() < g.MinInvocations && pi < 64; pi++ {
 		threads := 1 + rng.Intn(g.MaxThreads)
-		phase := PhaseSpec{Name: fmt.Sprintf("phase-%d", pi)}
+		phase := PhaseSpec{Name: fmt.Sprintf("phase-%d", pi), Threads: make([]ThreadSpec, 0, threads)}
 		for ti := 0; ti < threads; ti++ {
 			class := g.Classes[rng.Intn(len(g.Classes))]
 			ts, err := randomThread(fmt.Sprintf("t%d", ti), cfg, g, class, rng)
