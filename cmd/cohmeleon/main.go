@@ -160,6 +160,9 @@ func runExperiments(args []string) error {
 	if len(ids) == 0 {
 		// A bare fsck run is a legitimate zero-experiment invocation.
 		if *cacheVerify {
+			if err := experiment.SetRunCacheDir(*cacheDir); err != nil {
+				return err
+			}
 			return verifyCache(*cacheDir)
 		}
 		return fmt.Errorf("run: no experiment IDs (valid: %s, or 'all')", strings.Join(experiment.IDs(), ", "))
@@ -366,14 +369,12 @@ func runExperiments(args []string) error {
 	return nil
 }
 
-// verifyCache fscks the run store: every entry and checkpoint cell is
-// re-read, re-hashed, and fully decoded; failures are quarantined. A
-// pass that had to quarantine is an error — the store healed, but the
-// user asked to know.
+// verifyCache fscks the run store, already opened over dir: every run
+// entry, cost model, checkpoint cell and lease is re-read and
+// re-hashed, and failures are quarantined. A pass that had to
+// quarantine is an error — the store healed, but the user asked to
+// know.
 func verifyCache(dir string) error {
-	if err := experiment.SetRunCacheDir(dir); err != nil {
-		return err
-	}
 	res, err := experiment.VerifyRunCache(dir)
 	if err != nil {
 		return err

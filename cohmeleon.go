@@ -183,7 +183,7 @@ var (
 	DefaultScenarioSpec = scenario.DefaultSpec
 	// SampleScenarios draws a deterministic scenario set from a seed.
 	SampleScenarios = scenario.Sample
-	// LoadQTable reads a Q-table saved with (*QTable).SaveFile.
+	// LoadQTable reads a single Q-table saved with SaveLearnerState.
 	LoadQTable = core.LoadTableFile
 	// MergeQTables combines trained tables by visit-weighted averaging.
 	MergeQTables = core.MergeTables

@@ -163,11 +163,11 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := Encode(&buf, m); err != nil {
+	data, err := Encode(m)
+	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Decode(bytes.NewReader(buf.Bytes()))
+	got, err := Decode(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,9 +190,18 @@ func validImage() modelImage {
 	}
 }
 
-// encodeForged seals an arbitrary image in a checksummed envelope,
-// bypassing Encode's invariants; tamper, when non-nil, corrupts the
-// envelope after the checksum is computed.
+// modelEnvelope is the envelope type earlier builds sealed cost-model
+// files with, before they shared the store's: same fields, another
+// type name on the wire.
+type modelEnvelope struct {
+	Version int
+	Sum     [sha256.Size]byte
+	Payload []byte
+}
+
+// encodeForged seals an arbitrary image in a modelEnvelope, bypassing
+// Encode's invariants; tamper, when non-nil, corrupts the envelope
+// after the checksum is computed.
 func encodeForged(t *testing.T, img modelImage, tamper func(*modelEnvelope)) []byte {
 	t.Helper()
 	var payload bytes.Buffer
@@ -212,6 +221,24 @@ func encodeForged(t *testing.T, img modelImage, tamper func(*modelEnvelope)) []b
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// TestDecodeModelEnvelopeFiles: cost-model files sealed by earlier
+// builds, whose envelope type was named modelEnvelope, still decode.
+// Gob matches the envelope by field, not by type name.
+func TestDecodeModelEnvelopeFiles(t *testing.T) {
+	want := validImage()
+	want.ExecCoef[1], want.MemCoef[3] = 2.5, 0.75
+	got, err := Decode(encodeForged(t, want, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.ExecCoef[1] != 2.5 || got.MemCoef[3] != 0.75 || got.Protocol != "mesi" || got.Err.HeldOut != 25 {
+		t.Fatalf("decoded model lost data: %+v", got)
+	}
+	if !bytes.Contains(encodeForged(t, want, nil), []byte("modelEnvelope")) {
+		t.Fatal("forged file does not carry the old envelope type name")
+	}
 }
 
 // TestDecodeCorruptMatrix: forged files that declare a valid shape but
@@ -239,7 +266,7 @@ func TestDecodeCorruptMatrix(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := Decode(bytes.NewReader(encodeForged(t, tc.img(), tc.tamper)))
+			_, err := Decode(encodeForged(t, tc.img(), tc.tamper))
 			if err == nil {
 				t.Fatal("forged model decoded without error")
 			}
@@ -253,21 +280,21 @@ func TestDecodeCorruptMatrix(t *testing.T) {
 // TestDecodeGarbageAndTruncated: arbitrary bytes and streams cut off
 // mid-write must error, not panic.
 func TestDecodeGarbageAndTruncated(t *testing.T) {
-	if _, err := Decode(bytes.NewReader([]byte("not a model"))); err == nil {
+	if _, err := Decode([]byte("not a model")); err == nil {
 		t.Fatal("garbage decoded without error")
 	}
 	m, err := Fit(syntheticSamples(200), "mesi")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := Encode(&buf, m); err != nil {
+	data, err := Encode(m)
+	if err != nil {
 		t.Fatal(err)
 	}
 	for _, frac := range []int{2, 4, 10} {
-		cut := buf.Len() / frac
-		if _, err := Decode(bytes.NewReader(buf.Bytes()[:cut])); err == nil {
-			t.Fatalf("stream cut to %d/%d bytes decoded without error", cut, buf.Len())
+		cut := len(data) / frac
+		if _, err := Decode(data[:cut]); err == nil {
+			t.Fatalf("stream cut to %d/%d bytes decoded without error", cut, len(data))
 		}
 	}
 }

@@ -1,36 +1,25 @@
 package costmodel
 
 import (
-	"bytes"
-	"crypto/sha256"
-	"encoding/gob"
 	"fmt"
-	"io"
+
+	"cohmeleon/internal/store"
 )
 
 // Versioned, checksummed persistence for fitted models, so calibrated
 // coefficients are cacheable under -cache-dir with the same integrity
-// story as every other durable artifact: a gob envelope framing the
-// payload with a format version and its sha256, then a geometry- and
-// sanity-validated payload decode. Decode never indexes before
-// validating and rejects non-finite coefficients, mirroring the learn
-// package's DecodeState hardening — a truncated, bit-rotted, or foreign
-// file is an error, never a panic or a silently wrong model.
+// story as every other durable file: the store's envelope frames the
+// payload with a format version and its sha256, and Decode then
+// validates the payload's geometry and sanity. Decode never indexes
+// before validating and rejects non-finite coefficients, mirroring the
+// learn package's DecodeState hardening — a truncated, bit-rotted, or
+// foreign file is an error, never a panic or a silently wrong model.
 
 // FormatVersion tags the persisted model layout. Bump on any change to
 // modelImage or the feature ordering: NumFeatures is part of the
 // payload and checked on decode, so a feature-set change also
 // invalidates old files even within one version.
 const FormatVersion = 1
-
-// modelEnvelope frames the payload (structurally identical to the
-// experiment store's blob envelope, but self-contained: the experiment
-// package imports this one, not the other way around).
-type modelEnvelope struct {
-	Version int
-	Sum     [sha256.Size]byte
-	Payload []byte
-}
 
 // modelImage is the persisted (exported-field, slice-based) form.
 type modelImage struct {
@@ -47,8 +36,8 @@ type modelImage struct {
 	HeldOut     int
 }
 
-// Encode writes a model's checksummed envelope to w.
-func Encode(w io.Writer, m *Model) error {
+// Encode seals a model in the store's checksummed envelope.
+func Encode(m *Model) ([]byte, error) {
 	img := modelImage{
 		Version:     FormatVersion,
 		NumFeatures: NumFeatures,
@@ -62,39 +51,17 @@ func Encode(w io.Writer, m *Model) error {
 		FitSamples:  m.Err.FitSamples,
 		HeldOut:     m.Err.HeldOut,
 	}
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(&img); err != nil {
-		return fmt.Errorf("costmodel: encoding model: %w", err)
-	}
-	env := modelEnvelope{
-		Version: FormatVersion,
-		Sum:     sha256.Sum256(payload.Bytes()),
-		Payload: payload.Bytes(),
-	}
-	if err := gob.NewEncoder(w).Encode(&env); err != nil {
-		return fmt.Errorf("costmodel: encoding model envelope: %w", err)
-	}
-	return nil
+	return store.Seal(FormatVersion, &img)
 }
 
-// Decode reads, verifies, and validates a persisted model. Any error
+// Decode verifies, decodes and validates a persisted model. Any error
 // means the file is unusable (corrupt, truncated, wrong version, or
 // carrying nonsense coefficients); callers treat it as absent and
 // refit.
-func Decode(r io.Reader) (*Model, error) {
-	var env modelEnvelope
-	if err := gob.NewDecoder(r).Decode(&env); err != nil {
-		return nil, fmt.Errorf("costmodel: undecodable model envelope: %w", err)
-	}
-	if env.Version != FormatVersion {
-		return nil, fmt.Errorf("costmodel: model version %d, want %d", env.Version, FormatVersion)
-	}
-	if sha256.Sum256(env.Payload) != env.Sum {
-		return nil, fmt.Errorf("costmodel: model checksum mismatch")
-	}
+func Decode(data []byte) (*Model, error) {
 	var img modelImage
-	if err := gob.NewDecoder(bytes.NewReader(env.Payload)).Decode(&img); err != nil {
-		return nil, fmt.Errorf("costmodel: undecodable model payload: %w", err)
+	if err := store.Unseal(data, FormatVersion, &img); err != nil {
+		return nil, fmt.Errorf("costmodel: %w", err)
 	}
 	if img.Version != FormatVersion {
 		return nil, fmt.Errorf("costmodel: model payload version %d, want %d", img.Version, FormatVersion)

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 
 	"cohmeleon/internal/faultinject"
+	"cohmeleon/internal/store"
 )
 
 // Experiment checkpoints: the grid experiments (sweep, learners) persist
@@ -23,7 +24,7 @@ import (
 //
 // One file per cell (rather than one growing checkpoint file) keeps
 // concurrent workers from serializing on a shared writer, makes every
-// write crash-atomic via the blob rename, and lets a corrupt cell be
+// write crash-atomic via the store's rename, and lets a corrupt cell be
 // quarantined and recomputed alone — the store heals itself instead of
 // abandoning the whole checkpoint.
 
@@ -57,9 +58,16 @@ func ResetCheckpointStats() {
 // cache directory configured) is valid and inert: loads miss, saves
 // drop, so the experiments need no conditionals around it.
 type checkpoint struct {
+	store  *store.Store
 	dir    string
 	key    string // directory basename: <experiment>-v<version>-<paramhash>
 	resume bool
+}
+
+// ckptFaults are the checkpoint cells' failpoints.
+var ckptFaults = store.Faults{
+	Open: faultinject.CkptOpen, Create: faultinject.CkptCreate,
+	Write: faultinject.CkptWrite, Rename: faultinject.CkptRename,
 }
 
 // checkpointRoot names the checkpoint area under a cache directory.
@@ -74,16 +82,16 @@ func checkpointRoot(cacheDir string) string {
 // interrupted run leaves its checkpoint behind whether or not the user
 // planned to resume it.
 func openCheckpoint(experiment string, paramHash runKey, resume bool) (*checkpoint, error) {
-	cacheDir := runCacheDirectory()
-	if cacheDir == "" {
+	st := RunStore()
+	if st.Dir() == "" {
 		return nil, nil
 	}
 	key := fmt.Sprintf("%s-v%d-%x", experiment, checkpointVersion, paramHash[:])
-	dir := filepath.Join(checkpointRoot(cacheDir), key)
+	dir := filepath.Join(checkpointRoot(st.Dir()), key)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("experiment: checkpoint dir: %w", err)
 	}
-	return &checkpoint{dir: dir, key: key, resume: resume}, nil
+	return &checkpoint{store: st, dir: dir, key: key, resume: resume}, nil
 }
 
 // cellPath names cell i's file.
@@ -99,24 +107,13 @@ func (c *checkpoint) load(i int, v interface{}) bool {
 	if c == nil || !c.resume {
 		return false
 	}
-	path := c.cellPath(i)
-	var data []byte
-	err := faultinject.Check(faultinject.CkptOpen)
-	if err == nil {
-		data, err = os.ReadFile(path)
-	}
-	if err != nil {
-		if !os.IsNotExist(err) {
-			appRunMemo.noteReadFailure(path, err)
-		}
-		return false
-	}
-	if err := openBlob(data, checkpointVersion, v); err != nil {
-		c.invalidate(i, err)
+	st, _ := c.store.Read(c.cellPath(i), ckptFaults, func(data []byte) error {
+		return store.Unseal(data, checkpointVersion, v)
+	})
+	if st != store.Hit {
 		return false
 	}
 	ckptReplayed.Add(1)
-	emitDiag(DiagEvent{Kind: DiagCellReplayed, Path: path})
 	return true
 }
 
@@ -124,14 +121,8 @@ func (c *checkpoint) load(i int, v interface{}) bool {
 // but whose payload turned out unusable (e.g. an embedded learner state
 // that no longer restores).
 func (c *checkpoint) invalidate(i int, cause error) {
-	if c == nil {
-		return
-	}
-	path := c.cellPath(i)
-	if err := quarantineBlob(path); err == nil {
-		appRunMemo.noteQuarantine(path, cause)
-	} else {
-		appRunMemo.noteReadFailure(path, cause)
+	if c != nil {
+		c.store.Quarantine(c.cellPath(i), cause)
 	}
 }
 
@@ -142,15 +133,7 @@ func (c *checkpoint) save(i int, v interface{}) {
 	if c == nil {
 		return
 	}
-	data, err := sealBlob(checkpointVersion, v)
-	if err == nil {
-		err = writeBlobAtomic(c.dir, c.cellPath(i), data,
-			faultinject.CkptCreate, faultinject.CkptWrite, faultinject.CkptRename)
+	if c.store.Write("checkpoint", c.cellPath(i), checkpointVersion, v, ckptFaults) == nil {
+		ckptSaved.Add(1)
 	}
-	if err != nil {
-		appRunMemo.noteWriteFailure("checkpoint", err)
-		return
-	}
-	ckptSaved.Add(1)
-	emitDiag(DiagEvent{Kind: DiagCellSaved, Path: c.cellPath(i)})
 }

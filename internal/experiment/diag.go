@@ -2,123 +2,15 @@ package experiment
 
 import (
 	"context"
-	"fmt"
-	"io"
-	"os"
-	"sync"
 	"sync/atomic"
 )
 
-// Structured diagnostics. The store, checkpoint, and retry layers used
-// to write their one-shot warnings straight to stderr and keep their
-// counters in ad-hoc globals; both now flow through an injectable sink
-// so a long-running server can expose them via /statsz while the CLI's
-// stderr output stays byte-for-byte what it always was (the default
-// sink reproduces the exact text, including the once-per-process
-// gating). Counting is not the sink's job — counters are maintained by
-// the emitting layers and snapshotted by Snapshot — so a custom sink
-// can drop events without losing accounting.
-
-// DiagKind classifies a diagnostic event.
-type DiagKind int
-
-const (
-	// DiagWriteFailure: a store, checkpoint, or manifest write failed;
-	// the computed value survives in memory, only persistence was lost.
-	DiagWriteFailure DiagKind = iota
-	// DiagQuarantine: a corrupt entry was renamed *.corrupt so it is
-	// regenerated instead of re-failing forever.
-	DiagQuarantine
-	// DiagReadFailure: an entry exists but could not be read (I/O,
-	// permissions); it was treated as a miss.
-	DiagReadFailure
-	// DiagCellSaved: a checkpoint cell was persisted.
-	DiagCellSaved
-	// DiagCellReplayed: a checkpoint cell was served from a previous
-	// run's checkpoint.
-	DiagCellReplayed
-	// DiagCellRetry: a transient cell failure is being retried.
-	DiagCellRetry
-)
-
-// DiagEvent is one structured store/checkpoint/retry diagnostic.
-type DiagEvent struct {
-	Kind DiagKind
-	// What names the failing subsystem for write failures ("run store",
-	// "checkpoint", "job manifest").
-	What string
-	// Path is the file involved, when one is known. For quarantines it
-	// is the entry's original path (the quarantined copy is Path +
-	// ".corrupt").
-	Path string
-	Err  error
-}
-
-// DiagSink receives every diagnostic event, concurrently.
-type DiagSink interface {
-	Diag(DiagEvent)
-}
-
-// stderrDiagSink is the default sink: today's CLI stderr diagnostics,
-// byte-for-byte, warned once per process per kind (the first failure
-// names its cause; repeats would only scroll). Cell-traffic events are
-// counter-only, exactly as before.
-type stderrDiagSink struct {
-	w                                          io.Writer
-	warnedWrite, warnedCorrupt, warnedReadFail atomic.Bool
-}
-
-func (s *stderrDiagSink) Diag(e DiagEvent) {
-	switch e.Kind {
-	case DiagWriteFailure:
-		if s.warnedWrite.CompareAndSwap(false, true) {
-			fmt.Fprintf(s.w, "cohmeleon: %s write failed (results still computed, just not persisted; further failures counted silently): %v\n", e.What, e.Err)
-		}
-	case DiagQuarantine:
-		if s.warnedCorrupt.CompareAndSwap(false, true) {
-			fmt.Fprintf(s.w, "cohmeleon: corrupt cache entry quarantined as %s (%v); it will be regenerated\n", quarantinePath(e.Path), e.Err)
-		}
-	case DiagReadFailure:
-		if s.warnedReadFail.CompareAndSwap(false, true) {
-			fmt.Fprintf(s.w, "cohmeleon: cache entry %s unreadable, treating as a miss: %v\n", e.Path, e.Err)
-		}
-	}
-}
-
-// reset re-arms the one-shot warnings (ResetRunCache's contract).
-func (s *stderrDiagSink) reset() {
-	s.warnedWrite.Store(false)
-	s.warnedCorrupt.Store(false)
-	s.warnedReadFail.Store(false)
-}
-
-var (
-	defaultDiagSink = &stderrDiagSink{w: os.Stderr}
-	diagMu          sync.RWMutex
-	activeDiagSink  DiagSink = defaultDiagSink
-)
-
-// SetDiagSink installs a process-wide diagnostics sink and returns the
-// previous one; nil restores the default stderr sink. The sink must be
-// safe for concurrent use.
-func SetDiagSink(s DiagSink) DiagSink {
-	if s == nil {
-		s = defaultDiagSink
-	}
-	diagMu.Lock()
-	defer diagMu.Unlock()
-	prev := activeDiagSink
-	activeDiagSink = s
-	return prev
-}
-
-// emitDiag delivers one event to the active sink.
-func emitDiag(e DiagEvent) {
-	diagMu.RLock()
-	s := activeDiagSink
-	diagMu.RUnlock()
-	s.Diag(e)
-}
+// Counter snapshots. Each layer — run store, checkpoint, retry,
+// two-fidelity, lease — keeps its own counters; Snapshot bundles them
+// for structured consumers (serve's /statsz, perfbench), and
+// JobCounters attributes a share of them to one serve-mode job. The
+// store's one-shot stderr warnings live with its counters in
+// internal/store.
 
 // StatsSnapshot bundles every robustness counter — run store,
 // checkpoint, retry, two-fidelity, lease — for structured consumers

@@ -1,11 +1,9 @@
 package experiment
 
 import (
-	"bytes"
 	"context"
 	"crypto/sha256"
 	"fmt"
-	"os"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
@@ -15,6 +13,7 @@ import (
 	"cohmeleon/internal/policy"
 	"cohmeleon/internal/scenario"
 	"cohmeleon/internal/soc"
+	"cohmeleon/internal/store"
 	"cohmeleon/internal/workload"
 )
 
@@ -191,27 +190,29 @@ func calibratedModel(ctx context.Context, opt Options) (*costmodel.Model, error)
 	}
 }
 
+// modelFaults are the cost-model files' failpoints: the run store's
+// write points, and no read point.
+var modelFaults = store.Faults{
+	Create: faultinject.StoreCreate, Write: faultinject.StoreWrite, Rename: faultinject.StoreRename,
+}
+
 // loadOrFitModel loads the model for key from the cache directory or,
-// failing that, fits it and persists the coefficients there.
+// failing that, fits it and persists the coefficients there. Corrupt
+// coefficients quarantine like any other store entry, so the refit
+// regenerates them exactly once.
 func loadOrFitModel(ctx context.Context, opt Options, key runKey) (*costmodel.Model, error) {
-	dir := runCacheDirectory()
-	if dir != "" {
-		path := modelCachePath(dir, key)
-		if data, err := os.ReadFile(path); err == nil {
-			m, derr := costmodel.Decode(bytes.NewReader(data))
-			if derr == nil {
-				fidelityCounters.diskHits.Add(1)
-				return m, nil
-			}
-			// Corrupt coefficients quarantine like any other store entry,
-			// so the refit below regenerates them exactly once.
-			if qerr := quarantineBlob(path); qerr == nil {
-				appRunMemo.noteQuarantine(path, derr)
-			} else {
-				appRunMemo.noteReadFailure(path, derr)
-			}
-		} else if !os.IsNotExist(err) {
-			appRunMemo.noteReadFailure(path, err)
+	st := RunStore()
+	var path string
+	if st.Dir() != "" {
+		path = modelCachePath(st.Dir(), key)
+		var m *costmodel.Model
+		status, _ := st.Read(path, modelFaults, func(data []byte) (err error) {
+			m, err = costmodel.Decode(data)
+			return err
+		})
+		if status == store.Hit {
+			fidelityCounters.diskHits.Add(1)
+			return m, nil
 		}
 	}
 
@@ -220,15 +221,13 @@ func loadOrFitModel(ctx context.Context, opt Options, key runKey) (*costmodel.Mo
 		return nil, err
 	}
 	fidelityCounters.fits.Add(1)
-	if dir != "" {
-		var buf bytes.Buffer
-		err := costmodel.Encode(&buf, m)
+	if path != "" {
+		data, err := costmodel.Encode(m)
 		if err == nil {
-			err = writeBlobAtomic(dir, modelCachePath(dir, key), buf.Bytes(),
-				faultinject.StoreCreate, faultinject.StoreWrite, faultinject.StoreRename)
+			err = store.WriteAtomic(path, data, modelFaults)
 		}
 		if err != nil {
-			appRunMemo.noteWriteFailure("cost model", err)
+			st.WriteFailed("cost model", err)
 		}
 	}
 	return m, nil

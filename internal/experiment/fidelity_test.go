@@ -2,12 +2,15 @@ package experiment
 
 import (
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"slices"
 	"strings"
 	"sync"
 	"testing"
+
+	"cohmeleon/internal/costmodel"
 )
 
 // Pinned held-out accuracy floor for the calibrated cost model on the
@@ -216,6 +219,48 @@ func TestModelDiskCacheAndQuarantine(t *testing.T) {
 	}
 	if _, err := os.Stat(files[0]); err != nil {
 		t.Fatalf("refit model not re-persisted: %v", err)
+	}
+}
+
+// TestVerifyQuarantinesCorruptCostModel: the fsck decodes every
+// current-version cost-model file, quarantines a corrupt one as a load
+// would, and counts other versions as stale without reading them.
+func TestVerifyQuarantinesCorruptCostModel(t *testing.T) {
+	fidelityTestSetup(t)
+	dir := t.TempDir()
+	if err := SetRunCacheDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	good, err := costmodel.Encode(&costmodel.Model{Protocol: "mesi"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := modelCachePath(dir, runKey{1})
+	stale := filepath.Join(dir, fmt.Sprintf("costmodel-v%d-%x.gob", costmodel.FormatVersion+1, runKey{2}))
+	for path, data := range map[string][]byte{
+		modelCachePath(dir, runKey{0}): good,
+		bad:                            []byte("not a model"),
+		stale:                          []byte("another format"),
+	} {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := VerifyRunCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Models != 2 || res.ModelsOK != 1 || res.Quarantined != 1 || res.Stale != 1 || res.Clean() {
+		t.Fatalf("fsck = %v; want 1/2 cost models ok, 1 quarantined, 1 stale", res)
+	}
+	if _, err := os.Stat(bad + ".corrupt"); err != nil {
+		t.Fatalf("corrupt cost model not quarantined: %v", err)
+	}
+	if _, err := os.Stat(stale); err != nil {
+		t.Fatalf("stale cost model not left in place: %v", err)
+	}
+	if res, err := VerifyRunCache(dir); err != nil || !res.Clean() || res.PriorQuarantine != 1 {
+		t.Fatalf("second fsck = %v, %v; want clean with 1 prior quarantine", res, err)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"cohmeleon/internal/faultinject"
+	"cohmeleon/internal/store"
 )
 
 // Cell leases: the coordination layer that lets N independent cohmeleon
@@ -150,6 +151,7 @@ type leaseObs struct {
 
 // leaseTable is one worker's view of one grid's leases.
 type leaseTable struct {
+	store     *store.Store
 	dir       string
 	holder    string
 	ttl       time.Duration
@@ -164,12 +166,13 @@ type leaseTable struct {
 // grid. key is the checkpoint directory's name, so leases and cells of
 // the same parameterized run always pair up — and runs with different
 // parameters can never contend for each other's cells.
-func openLeaseTable(cacheDir, key string, opt Options) (*leaseTable, error) {
-	dir := filepath.Join(leaseRoot(cacheDir), key)
+func openLeaseTable(st *store.Store, key string, opt Options) (*leaseTable, error) {
+	dir := filepath.Join(leaseRoot(st.Dir()), key)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("experiment: lease dir: %w", err)
 	}
 	return &leaseTable{
+		store:     st,
 		dir:       dir,
 		holder:    opt.workerID(),
 		ttl:       opt.leaseTTL(),
@@ -186,25 +189,18 @@ func (lt *leaseTable) path(i int) string {
 
 // read loads and verifies cell i's lease. A corrupt lease — torn by a
 // kill -9 mid-write, bit-rotted, or foreign — is quarantined through
-// the same envelope path as any corrupt store entry and reported
-// absent, which makes the cell immediately claimable again.
+// the store like any corrupt entry and reported absent, which makes the
+// cell immediately claimable again.
 func (lt *leaseTable) read(i int) (leaseImage, leaseState) {
 	var img leaseImage
-	path := lt.path(i)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return img, leaseAbsent
-		}
-		appRunMemo.noteReadFailure(path, err)
-		return img, leaseUnreadable
-	}
-	if err := openBlob(data, leaseVersion, &img); err != nil {
-		if qerr := quarantineBlob(path); qerr == nil {
-			appRunMemo.noteQuarantine(path, err)
-			return leaseImage{}, leaseAbsent
-		}
-		appRunMemo.noteReadFailure(path, err)
+	st, _ := lt.store.Read(lt.path(i), store.Faults{}, func(data []byte) error {
+		return store.Unseal(data, leaseVersion, &img)
+	})
+	switch st {
+	case store.Hit:
+	case store.Absent, store.Corrupt:
+		return leaseImage{}, leaseAbsent
+	default:
 		return leaseImage{}, leaseUnreadable
 	}
 	lt.mu.Lock()
@@ -264,28 +260,18 @@ func (lt *leaseTable) claim(i int) (token uint64, claimed bool, err error) {
 	}
 }
 
-// acquire publishes a fresh lease for cell i. The sealed lease is
-// written to a temp file first and then hard-linked into place: the
-// link fails with EEXIST when any lease is already there, so of any
-// number of racing workers exactly one wins, and because the file is
-// complete before its name appears, a peer's read never sees it half
-// written (an exclusive create followed by a write would expose an
-// empty file that observers quarantine as corrupt, taking a live
-// lease away).
+// acquire publishes a fresh lease for cell i through an exclusive
+// link: of any number of racing workers exactly one wins, and a peer
+// never reads a half-written lease (one it would quarantine as
+// corrupt, taking a live lease away).
 func (lt *leaseTable) acquire(i int, tok uint64) (uint64, bool, error) {
 	if err := faultinject.Check(faultinject.LeaseAcquire); err != nil {
 		return 0, false, err
 	}
-	data, err := sealBlob(leaseVersion, &leaseImage{Holder: lt.holder, Token: tok})
-	if err != nil {
-		return 0, false, err
+	data, err := store.Seal(leaseVersion, &leaseImage{Holder: lt.holder, Token: tok})
+	if err == nil {
+		err = store.LinkExclusive(lt.path(i), data)
 	}
-	tmp, err := lt.writeTemp(data)
-	if err != nil {
-		return 0, false, err
-	}
-	err = os.Link(tmp, lt.path(i))
-	os.Remove(tmp) // a temp file a failed remove leaves is swept by the fsck
 	if err != nil {
 		if os.IsExist(err) {
 			leaseContended.Add(1)
@@ -300,24 +286,6 @@ func (lt *leaseTable) acquire(i int, tok uint64) (uint64, bool, error) {
 	}
 	lt.mu.Unlock()
 	return tok, true, nil
-}
-
-// writeTemp writes data to a fresh temp file in the lease directory and
-// returns its name; on error nothing is left behind.
-func (lt *leaseTable) writeTemp(data []byte) (string, error) {
-	f, err := os.CreateTemp(lt.dir, fmt.Sprintf(".lease-%d-*.tmp", os.Getpid()))
-	if err != nil {
-		return "", err
-	}
-	_, err = f.Write(data)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(f.Name())
-		return "", err
-	}
-	return f.Name(), nil
 }
 
 // renew advances the heartbeat counter of a held lease via temp file +
@@ -339,16 +307,11 @@ func (lt *leaseTable) renew(i int, tok uint64) error {
 		return err
 	}
 	img.Renewals++
-	data, err := sealBlob(leaseVersion, &img)
-	if err != nil {
-		return err
+	data, err := store.Seal(leaseVersion, &img)
+	if err == nil {
+		err = store.WriteAtomic(lt.path(i), data, store.Faults{})
 	}
-	tmp, err := lt.writeTemp(data)
 	if err != nil {
-		return err
-	}
-	if err = os.Rename(tmp, lt.path(i)); err != nil {
-		os.Remove(tmp)
 		return err
 	}
 	leaseRenewed.Add(1)

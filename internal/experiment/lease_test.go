@@ -9,13 +9,14 @@ import (
 	"time"
 
 	"cohmeleon/internal/faultinject"
+	"cohmeleon/internal/store"
 )
 
 // leaseTestTable opens a lease table for a fake grid under a fresh
 // cache dir, with a TTL long enough that nothing goes stale by accident.
 func leaseTestTable(t *testing.T, worker string, ttl time.Duration) *leaseTable {
 	t.Helper()
-	lt, err := openLeaseTable(runCacheDirectory(), "test-v1-abc", Options{
+	lt, err := openLeaseTable(RunStore(), "test-v1-abc", Options{
 		WorkerID: worker, LeaseTTL: ttl, LeaseHeartbeat: ttl / 5,
 	})
 	if err != nil {
@@ -285,18 +286,18 @@ func TestLeaseReleaseFaultOrphans(t *testing.T) {
 		t.Fatalf("lease state after faulted release = %v, want still held", st)
 	}
 	// Publish the cell the lease guards, then fsck: the orphan is swept.
-	ckDir := filepath.Join(checkpointRoot(runCacheDirectory()), "test-v1-abc")
+	ckDir := filepath.Join(checkpointRoot(RunStore().Dir()), "test-v1-abc")
 	if err := os.MkdirAll(ckDir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	data, err := sealBlob(checkpointVersion, &struct{ X int }{1})
+	data, err := store.Seal(checkpointVersion, &struct{ X int }{1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(filepath.Join(ckDir, "cell-000000.gob"), data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	res, err := VerifyRunCache(runCacheDirectory())
+	res, err := VerifyRunCache(RunStore().Dir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +313,7 @@ func TestLeaseReleaseFaultOrphans(t *testing.T) {
 // are swept and counted apart from quarantines.
 func TestVerifySweepsOrphanedTempFiles(t *testing.T) {
 	leaseTestSetup(t)
-	dir := runCacheDirectory()
+	dir := RunStore().Dir()
 	ckDir := filepath.Join(checkpointRoot(dir), "test-v1-abc")
 	lsDir := filepath.Join(leaseRoot(dir), "test-v1-abc")
 	for _, d := range []string{ckDir, lsDir} {

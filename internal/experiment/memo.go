@@ -4,7 +4,6 @@ import (
 	"context"
 	"crypto/sha256"
 	"fmt"
-	"os"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
@@ -13,6 +12,7 @@ import (
 	"cohmeleon/internal/faultinject"
 	"cohmeleon/internal/sim"
 	"cohmeleon/internal/soc"
+	"cohmeleon/internal/store"
 	"cohmeleon/internal/workload"
 )
 
@@ -41,8 +41,9 @@ type memoKeyed interface{ MemoKey() string }
 // Bump it whenever the simulator's timing model or the persisted layout
 // changes: stale cache directories then miss cleanly instead of
 // resurrecting results from an older model. Version 2 framed every
-// entry in the checksummed blob envelope (blob.go), so corruption is
-// detected by re-hashing rather than by hoping gob notices.
+// entry in the store's checksummed envelope (internal/store), so
+// corruption is detected by re-hashing rather than by hoping gob
+// notices.
 const runCacheVersion = 2
 
 type runKey [sha256.Size]byte
@@ -84,18 +85,11 @@ type RunCacheStats struct {
 	Misses int64
 	// Evictions of in-process entries past the capacity bound.
 	Evictions int64
-	// WriteFailures counts store or checkpoint writes that failed
-	// (persistence is an optimization, but the failures are reported —
-	// once loudly on stderr, then through this counter — instead of
-	// being dropped on the floor).
+	// WriteFailures, ReadFailures and Quarantined are the process
+	// store's counters (store.Stats), over every kind of durable file.
 	WriteFailures int64
-	// ReadFailures counts entries that could not be read for reasons
-	// other than absence (permissions, I/O errors); each was treated as
-	// a miss.
-	ReadFailures int64
-	// Quarantined counts corrupt entries renamed to *.corrupt so they
-	// are regenerated instead of being re-read (and re-failing) forever.
-	Quarantined int64
+	ReadFailures  int64
+	Quarantined   int64
 }
 
 // memoEntry is one in-flight or completed run. Waiters block on done;
@@ -108,95 +102,45 @@ type memoEntry struct {
 
 type runMemo struct {
 	mu      sync.Mutex
-	enabled bool
-	dir     string
-	cap     int
+	enabled bool // off: every runApp simulates and nothing is stored (identity tests)
+	cap     int  // in-process entry bound; oldest entries evict first
+	store   *store.Store
 	entries map[runKey]*memoEntry
 	order   []runKey // insertion order, for capacity eviction
 
-	hits, diskHits, misses, evictions        atomic.Int64
-	writeFailures, readFailures, quarantined atomic.Int64
-}
-
-// noteWriteFailure records a failed store/checkpoint/manifest write:
-// counted always, reported through the diagnostics sink (the default
-// sink warns once per process; the first failure names its cause).
-func (m *runMemo) noteWriteFailure(what string, err error) {
-	m.writeFailures.Add(1)
-	emitDiag(DiagEvent{Kind: DiagWriteFailure, What: what, Err: err})
-}
-
-// noteQuarantine records a corrupt entry being moved aside.
-func (m *runMemo) noteQuarantine(path string, cause error) {
-	m.quarantined.Add(1)
-	emitDiag(DiagEvent{Kind: DiagQuarantine, Path: path, Err: cause})
-}
-
-// noteReadFailure records an entry that exists but could not be read.
-func (m *runMemo) noteReadFailure(path string, err error) {
-	m.readFailures.Add(1)
-	emitDiag(DiagEvent{Kind: DiagReadFailure, Path: path, Err: err})
+	hits, diskHits, misses, evictions atomic.Int64
 }
 
 // appRunMemo is the process-wide run cache. In-process memoization is
 // always on (results are byte-identical either way — see the file
-// comment); persistence activates when a directory is configured.
+// comment); persistence activates when its store has a directory.
 var appRunMemo = &runMemo{
 	enabled: true,
 	cap:     1024,
+	store:   &store.Store{},
 	entries: make(map[runKey]*memoEntry),
 }
 
-// SetRunCacheDir enables persistent run caching under dir (created if
-// missing); an empty dir disables persistence but keeps the in-process
-// memo. The directory is probed for writability up front, so a bad
-// -cache-dir fails once with a clear error instead of silently dropping
-// every write for the whole run.
+// SetRunCacheDir opens the process store over dir (see store.Open): an
+// empty dir disables persistence but keeps the in-process memo. The
+// new store starts with zeroed failure counters.
 func SetRunCacheDir(dir string) error {
-	if dir != "" {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return fmt.Errorf("experiment: run cache dir: %w", err)
-		}
-		probe, err := os.CreateTemp(dir, ".probe-*.tmp")
-		if err != nil {
-			return fmt.Errorf("experiment: run cache dir %s is not writable: %w", dir, err)
-		}
-		probe.Close()
-		os.Remove(probe.Name())
+	st, err := store.Open(dir)
+	if err != nil {
+		return err
 	}
 	appRunMemo.mu.Lock()
 	defer appRunMemo.mu.Unlock()
-	appRunMemo.dir = dir
+	appRunMemo.store = st
 	return nil
 }
 
-// runCacheDirectory returns the configured persistent cache directory
-// ("" when persistence is off).
-func runCacheDirectory() string {
+// RunStore returns the process store: every durable file under the
+// cache directory is read, written and counted through it.
+func RunStore() *store.Store {
 	appRunMemo.mu.Lock()
 	defer appRunMemo.mu.Unlock()
-	return appRunMemo.dir
-}
-
-// EnableRunCache turns the run cache on or off entirely (off: every
-// runApp simulates, nothing is stored). Reports are byte-identical
-// either way; the switch exists for benchmarking and identity tests.
-func EnableRunCache(on bool) {
-	appRunMemo.mu.Lock()
-	defer appRunMemo.mu.Unlock()
-	appRunMemo.enabled = on
-}
-
-// SetRunCacheCapacity bounds the in-process memo entry count (oldest
-// entries evict first). The persistent store is unbounded.
-func SetRunCacheCapacity(n int) {
-	if n < 1 {
-		n = 1
-	}
-	appRunMemo.mu.Lock()
-	defer appRunMemo.mu.Unlock()
-	appRunMemo.cap = n
-	appRunMemo.evictLocked()
+	return appRunMemo.store
 }
 
 // ResetRunCache drops every in-process entry and zeroes the statistics;
@@ -210,25 +154,23 @@ func ResetRunCache() {
 	appRunMemo.diskHits.Store(0)
 	appRunMemo.misses.Store(0)
 	appRunMemo.evictions.Store(0)
-	appRunMemo.writeFailures.Store(0)
-	appRunMemo.readFailures.Store(0)
-	appRunMemo.quarantined.Store(0)
+	appRunMemo.store.Reset()
 	ResetRetryStats()
 	ResetLeaseStats()
 	resetFidelity()
-	defaultDiagSink.reset()
 }
 
 // GetRunCacheStats returns the counters since the last reset.
 func GetRunCacheStats() RunCacheStats {
+	st := RunStore().Stats()
 	return RunCacheStats{
 		Hits:          appRunMemo.hits.Load(),
 		DiskHits:      appRunMemo.diskHits.Load(),
 		Misses:        appRunMemo.misses.Load(),
 		Evictions:     appRunMemo.evictions.Load(),
-		WriteFailures: appRunMemo.writeFailures.Load(),
-		ReadFailures:  appRunMemo.readFailures.Load(),
-		Quarantined:   appRunMemo.quarantined.Load(),
+		WriteFailures: st.WriteFailures,
+		ReadFailures:  st.ReadFailures,
+		Quarantined:   st.Quarantined,
 	}
 }
 
@@ -258,13 +200,13 @@ func (m *runMemo) getOrRun(ctx context.Context, key runKey, cfg *soc.Config, app
 	m.entries[key] = e
 	m.order = append(m.order, key)
 	m.evictLocked()
-	dir := m.dir
+	st := m.store
 	m.mu.Unlock()
 
-	if dir != "" {
+	if st.Dir() != "" {
 		// Absent, corrupt (now quarantined), and unreadable entries all
 		// fall through to simulation; only a verified entry is served.
-		if res, st := loadPersistedRun(dir, key, cfg, app); st == loadHit {
+		if res, ok := loadPersistedRun(st, key, cfg, app); ok {
 			m.diskHits.Add(1)
 			if jc != nil {
 				jc.DiskHits.Add(1)
@@ -289,8 +231,8 @@ func (m *runMemo) getOrRun(ctx context.Context, key runKey, cfg *soc.Config, app
 	}
 	e.res = cloneAppResult(res) // insulate the master from caller mutation
 	close(e.done)
-	if dir != "" {
-		storePersistedRun(dir, key, e.res)
+	if st.Dir() != "" {
+		storePersistedRun(st, key, e.res)
 	}
 	return res, nil
 }
@@ -329,10 +271,10 @@ func cloneAppResult(r *workload.AppResult) *workload.AppResult {
 }
 
 // Persisted-run layout: a portable mirror of workload.AppResult, framed
-// in the checksummed blob envelope on disk. The AccTile pointers inside
-// esp.Result are simulation-instance identities and cannot be stored;
-// the instance name round-trips instead and is re-resolved against the
-// (content-identical) configuration on load.
+// in the store's checksummed envelope on disk. The AccTile pointers
+// inside esp.Result are simulation-instance identities and cannot be
+// stored; the instance name round-trips instead and is re-resolved
+// against the (content-identical) configuration on load.
 type persistedRun struct {
 	Version int
 	Policy  string
@@ -364,12 +306,17 @@ func runCachePath(dir string, key runKey) string {
 	return filepath.Join(dir, fmt.Sprintf("run-v%d-%x.gob", runCacheVersion, key[:]))
 }
 
-// storePersistedRun writes the result for key atomically (temp file +
-// rename, so concurrent processes sharing a cache directory never read
-// a torn file). Persistence is an optimization — the computed result is
-// still returned on failure — but failures are counted and the first
-// one is reported, not dropped on the floor.
-func storePersistedRun(dir string, key runKey, res *workload.AppResult) {
+// runFaults are the run store's failpoints.
+var runFaults = store.Faults{
+	Open: faultinject.StoreOpen, Create: faultinject.StoreCreate,
+	Write: faultinject.StoreWrite, Rename: faultinject.StoreRename,
+}
+
+// storePersistedRun writes the result for key atomically, so concurrent
+// processes sharing a cache directory never read a torn file.
+// Persistence is an optimization — the computed result is still
+// returned on failure — and the store counts and reports failures.
+func storePersistedRun(st *store.Store, key runKey, res *workload.AppResult) {
 	p := persistedRun{
 		Version: runCacheVersion,
 		Policy:  res.Policy,
@@ -393,66 +340,29 @@ func storePersistedRun(dir string, key runKey, res *workload.AppResult) {
 		}
 		p.Phases = append(p.Phases, pp)
 	}
-	data, err := sealBlob(runCacheVersion, &p)
-	if err == nil {
-		err = writeBlobAtomic(dir, runCachePath(dir, key), data,
-			faultinject.StoreCreate, faultinject.StoreWrite, faultinject.StoreRename)
-	}
-	if err != nil {
-		appRunMemo.noteWriteFailure("run store", err)
-	}
+	st.Write("run store", runCachePath(st.Dir(), key), runCacheVersion, &p, runFaults)
 }
 
-// loadStatus distinguishes why a persisted entry did not load.
-type loadStatus int
-
-const (
-	loadHit      loadStatus = iota
-	loadAbsent              // no entry for this key (the common miss)
-	loadCorrupt             // entry existed but failed verification; quarantined
-	loadReadFail            // entry exists but could not be read (I/O, permissions)
-)
-
 // loadPersistedRun reads, verifies, and revives the result for key.
-// Absence is the one benign outcome; a corrupt entry — undecodable,
+// Absence is the one benign miss; a corrupt entry — undecodable,
 // checksum mismatch, wrong embedded version, or foreign content — is
-// quarantined (renamed *.corrupt) so it is regenerated exactly once
-// instead of being re-read and re-failing on every run.
-func loadPersistedRun(dir string, key runKey, cfg *soc.Config, app *workload.App) (*workload.AppResult, loadStatus) {
-	path := runCachePath(dir, key)
-	var data []byte
-	err := faultinject.Check(faultinject.StoreOpen)
-	if err == nil {
-		data, err = os.ReadFile(path)
-	}
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, loadAbsent
-		}
-		appRunMemo.noteReadFailure(path, err)
-		return nil, loadReadFail
-	}
-	res, err := revivePersistedRun(data, cfg, app)
-	if err != nil {
-		if qerr := quarantineBlob(path); qerr == nil {
-			appRunMemo.noteQuarantine(path, err)
-		} else {
-			appRunMemo.noteReadFailure(path, err)
-		}
-		return nil, loadCorrupt
-	}
-	return res, loadHit
+// quarantined so it is regenerated exactly once instead of being
+// re-read and re-failing on every run.
+func loadPersistedRun(st *store.Store, key runKey, cfg *soc.Config, app *workload.App) (*workload.AppResult, bool) {
+	var res *workload.AppResult
+	status, _ := st.Read(runCachePath(st.Dir(), key), runFaults, func(data []byte) (err error) {
+		res, err = revivePersistedRun(data, cfg, app)
+		return err
+	})
+	return res, status == store.Hit
 }
 
 // revivePersistedRun verifies an entry's bytes and rebuilds the result.
 // Any error means the entry is corrupt.
 func revivePersistedRun(data []byte, cfg *soc.Config, app *workload.App) (*workload.AppResult, error) {
 	var p persistedRun
-	if err := openBlob(data, runCacheVersion, &p); err != nil {
+	if err := unsealRun(data, &p); err != nil {
 		return nil, err
-	}
-	if p.Version != runCacheVersion {
-		return nil, fmt.Errorf("experiment: run entry payload version %d, want %d", p.Version, runCacheVersion)
 	}
 	// Revive the accelerator identities against the configuration: the
 	// content key guarantees cfg matches the one the run simulated, so a
@@ -493,4 +403,16 @@ func revivePersistedRun(data []byte, cfg *soc.Config, app *workload.App) (*workl
 		out.Phases = append(out.Phases, ph)
 	}
 	return out, nil
+}
+
+// unsealRun verifies a run entry's envelope and decodes its payload,
+// rejecting a payload of another format version.
+func unsealRun(data []byte, p *persistedRun) error {
+	if err := store.Unseal(data, runCacheVersion, p); err != nil {
+		return err
+	}
+	if p.Version != runCacheVersion {
+		return fmt.Errorf("experiment: run entry payload version %d, want %d", p.Version, runCacheVersion)
+	}
+	return nil
 }

@@ -11,6 +11,7 @@ import (
 	"cohmeleon/internal/core"
 	"cohmeleon/internal/policy"
 	"cohmeleon/internal/soc"
+	"cohmeleon/internal/store"
 	"cohmeleon/internal/workload"
 )
 
@@ -35,7 +36,7 @@ func TestCorruptRunEntriesQuarantinedExactlyOnce(t *testing.T) {
 			}
 		}},
 		{"version-mismatched", func(t *testing.T, path string) {
-			data, err := sealBlob(runCacheVersion+1, &persistedRun{Version: runCacheVersion + 1})
+			data, err := store.Seal(runCacheVersion+1, &persistedRun{Version: runCacheVersion + 1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -127,8 +128,8 @@ func memoTestSetup(t *testing.T) {
 	ResetRunCache()
 	t.Cleanup(func() {
 		ResetRunCache()
-		EnableRunCache(true)
-		SetRunCacheCapacity(1024)
+		appRunMemo.enabled = true
+		appRunMemo.cap = 1024
 		if err := SetRunCacheDir(""); err != nil {
 			t.Error(err)
 		}
@@ -224,7 +225,7 @@ func TestRunCacheHitReturnsIdenticalInsulatedResult(t *testing.T) {
 
 func TestRunCacheCapacityEviction(t *testing.T) {
 	memoTestSetup(t)
-	SetRunCacheCapacity(1)
+	appRunMemo.cap = 1
 	cfg, app := memoTestInputs(t)
 
 	if _, err := runApp(context.Background(), cfg, policy.NewFixed(soc.NonCohDMA), app, 7); err != nil {
@@ -321,14 +322,14 @@ func TestSweepByteIdenticalAcrossCacheModes(t *testing.T) {
 	opt.SweepScenarios = 2
 	opt.Workers = 2
 
-	EnableRunCache(false)
+	appRunMemo.enabled = false
 	off, err := Sweep(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	offR := off.Render()
 
-	EnableRunCache(true)
+	appRunMemo.enabled = true
 	dir := t.TempDir()
 	if err := SetRunCacheDir(dir); err != nil {
 		t.Fatal(err)

@@ -208,7 +208,6 @@ func (f fanout) cell(i int, fn func(i int) error) error {
 		if c := jobCountersFrom(f.ctx); c != nil {
 			c.CellRetries.Add(1)
 		}
-		emitDiag(DiagEvent{Kind: DiagCellRetry, Err: err})
 		if serr := f.retry.sleep(f.ctx, f.retry.delay(i, attempt)); serr != nil {
 			// Cancelled mid-backoff: surface the cancellation chain so a
 			// draining caller classifies this as an interrupt, with the

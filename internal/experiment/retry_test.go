@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -199,83 +198,6 @@ func TestGateCancelledWhileWaitingForAdmission(t *testing.T) {
 	err := gate.acquire(ctx)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("acquire on cancelled ctx = %v, want context.Canceled", err)
-	}
-}
-
-// TestDefaultDiagSinkStderrBytes pins the default sink's output to the
-// exact pre-refactor stderr text, including the once-per-process
-// gating: moving the warnings behind the sink seam must not change a
-// byte of what the CLI prints.
-func TestDefaultDiagSinkStderrBytes(t *testing.T) {
-	var buf bytes.Buffer
-	s := &stderrDiagSink{w: &buf}
-	werr := errors.New("disk full")
-	qerr := errors.New("checksum mismatch")
-	rerr := errors.New("permission denied")
-	events := []DiagEvent{
-		{Kind: DiagWriteFailure, What: "run store", Err: werr},
-		{Kind: DiagWriteFailure, What: "checkpoint", Err: werr}, // gated: silent
-		{Kind: DiagQuarantine, Path: "/c/entry.gob", Err: qerr},
-		{Kind: DiagQuarantine, Path: "/c/other.gob", Err: qerr}, // gated: silent
-		{Kind: DiagReadFailure, Path: "/c/entry.gob", Err: rerr},
-		{Kind: DiagReadFailure, Path: "/c/other.gob", Err: rerr}, // gated: silent
-		{Kind: DiagCellSaved, Path: "/c/cell.gob"},               // counter-only, never printed
-		{Kind: DiagCellReplayed, Path: "/c/cell.gob"},
-		{Kind: DiagCellRetry, Err: werr},
-	}
-	for _, e := range events {
-		s.Diag(e)
-	}
-	want := "cohmeleon: run store write failed (results still computed, just not persisted; further failures counted silently): disk full\n" +
-		"cohmeleon: corrupt cache entry quarantined as /c/entry.gob.corrupt (checksum mismatch); it will be regenerated\n" +
-		"cohmeleon: cache entry /c/entry.gob unreadable, treating as a miss: permission denied\n"
-	if got := buf.String(); got != want {
-		t.Fatalf("default sink output differs:\n--- got ---\n%s--- want ---\n%s", got, want)
-	}
-	// reset re-arms the one-shot gating.
-	s.reset()
-	buf.Reset()
-	s.Diag(DiagEvent{Kind: DiagWriteFailure, What: "run store", Err: werr})
-	if !strings.Contains(buf.String(), "run store write failed") {
-		t.Fatal("reset did not re-arm the write-failure warning")
-	}
-}
-
-// recordingSink collects every event for assertions.
-type recordingSink struct {
-	mu     sync.Mutex
-	events []DiagEvent
-}
-
-func (r *recordingSink) Diag(e DiagEvent) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.events = append(r.events, e)
-}
-
-func (r *recordingSink) kinds() map[DiagKind]int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := map[DiagKind]int{}
-	for _, e := range r.events {
-		out[e.Kind]++
-	}
-	return out
-}
-
-func TestSetDiagSinkRoutesEventsAndRestores(t *testing.T) {
-	rec := &recordingSink{}
-	prev := SetDiagSink(rec)
-	emitDiag(DiagEvent{Kind: DiagCellRetry, Err: errors.New("x")})
-	emitDiag(DiagEvent{Kind: DiagCellSaved, Path: "p"})
-	SetDiagSink(nil) // restore default
-	if got := SetDiagSink(prev); got != defaultDiagSink {
-		t.Fatalf("SetDiagSink(nil) installed %T, want the default sink", got)
-	}
-	SetDiagSink(nil)
-	k := rec.kinds()
-	if k[DiagCellRetry] != 1 || k[DiagCellSaved] != 1 {
-		t.Fatalf("sink saw %v, want one retry and one save", k)
 	}
 }
 

@@ -42,11 +42,10 @@ func runGrid(opt Options, ck *checkpoint, n int, load func(i int) bool, compute 
 			return compute(i)
 		})
 	}
-	cacheDir := runCacheDirectory()
-	if ck == nil || cacheDir == "" {
+	if ck == nil {
 		return fmt.Errorf("experiment: shared mode needs a cache directory (set -cache-dir)")
 	}
-	lt, err := openLeaseTable(cacheDir, ck.key, opt)
+	lt, err := openLeaseTable(ck.store, ck.key, opt)
 	if err != nil {
 		return err
 	}

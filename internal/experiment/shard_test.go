@@ -140,7 +140,7 @@ func TestSharedSweepDeadWorkerReclaimed(t *testing.T) {
 	if err != nil || ck == nil {
 		t.Fatalf("openCheckpoint = (%v, %v)", ck, err)
 	}
-	dead, err := openLeaseTable(dir, ck.key, Options{WorkerID: "dead", LeaseTTL: time.Hour})
+	dead, err := openLeaseTable(ck.store, ck.key, Options{WorkerID: "dead", LeaseTTL: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,9 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+
+	"cohmeleon/internal/costmodel"
+	"cohmeleon/internal/store"
 )
 
 // VerifyResult summarizes a run-store fsck (-cache-verify).
@@ -20,11 +23,15 @@ type VerifyResult struct {
 	// read or quarantined; they remain in place and will fail again on
 	// the next run.
 	Failed int
-	// Stale counts run entries from other format versions; they are
-	// never read by this binary and are left in place.
+	// Stale counts run entries and cost-model files from other format
+	// versions; they are never read by this binary and are left in place.
 	Stale int
 	// PriorQuarantine counts *.corrupt files from earlier quarantines.
 	PriorQuarantine int
+	// Models is the number of current-version cost-model files
+	// examined; ModelsOK of them decoded and validated cleanly.
+	Models   int
+	ModelsOK int
 	// Cells is the number of checkpoint cells examined; CellsOK of them
 	// verified cleanly.
 	Cells   int
@@ -48,75 +55,92 @@ type VerifyResult struct {
 
 // String renders the fsck summary.
 func (v VerifyResult) String() string {
-	return fmt.Sprintf("run store: %d/%d entries ok, %d checkpoint cells ok of %d, %d leases ok of %d, %d quarantined this pass, %d corrupt but not quarantined, %d stale-version, %d previously quarantined, %d published-cell leases swept, %d orphaned temp files swept",
-		v.OK, v.Runs, v.CellsOK, v.Cells, v.LeasesOK, v.Leases, v.Quarantined, v.Failed, v.Stale, v.PriorQuarantine, v.LeasesSwept, v.TmpSwept)
+	return fmt.Sprintf("run store: %d/%d entries ok, %d/%d cost models ok, %d checkpoint cells ok of %d, %d leases ok of %d, %d quarantined this pass, %d corrupt but not quarantined, %d stale-version, %d previously quarantined, %d published-cell leases swept, %d orphaned temp files swept",
+		v.OK, v.Runs, v.ModelsOK, v.Models, v.CellsOK, v.Cells, v.LeasesOK, v.Leases, v.Quarantined, v.Failed, v.Stale, v.PriorQuarantine, v.LeasesSwept, v.TmpSwept)
 }
 
 // Clean reports whether every examined entry verified.
 func (v VerifyResult) Clean() bool { return v.Quarantined == 0 && v.Failed == 0 }
 
 // VerifyRunCache fscks a cache directory: every current-version run
-// entry is re-read, re-hashed against its embedded checksum, and fully
-// decoded; every checkpoint cell is re-read and re-hashed. Entries that
-// fail are quarantined exactly as a regular load would have done —
-// verification is the same code path, run eagerly — so after a clean
-// pass no future run can trip over a corrupt entry. The error is non-nil
-// only when the directory itself cannot be walked; individual bad
-// entries are a result, not an error.
+// entry and cost-model file is re-read, re-hashed against its embedded
+// checksum, and fully decoded; every checkpoint cell and lease is
+// re-read and re-hashed. Entries that fail are quarantined exactly as a
+// regular load would have done — verification is the same store read,
+// run eagerly — so after a clean pass no future run can trip over a
+// corrupt entry. The error is non-nil only when the directory itself
+// cannot be walked; individual bad entries are a result, not an error.
 func VerifyRunCache(dir string) (VerifyResult, error) {
 	var out VerifyResult
 	if dir == "" {
 		return out, fmt.Errorf("experiment: no cache directory to verify")
 	}
+	st := RunStore()
+	// verify reads one file through the store and tallies the outcome,
+	// reporting whether it verified.
+	verify := func(path string, decode func([]byte) error) bool {
+		status, _ := st.Read(path, store.Faults{}, decode)
+		switch status {
+		case store.Hit:
+			return true
+		case store.Corrupt:
+			out.Quarantined++
+		default:
+			out.Failed++
+		}
+		return false
+	}
+	envelope := func(version int) func([]byte) error {
+		return func(data []byte) error {
+			_, err := store.Verify(data, version)
+			return err
+		}
+	}
+
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return out, fmt.Errorf("experiment: verifying cache: %w", err)
 	}
-	curPrefix := fmt.Sprintf("run-v%d-", runCacheVersion)
+	runPrefix := fmt.Sprintf("run-v%d-", runCacheVersion)
+	modelPrefix := fmt.Sprintf("costmodel-v%d-", costmodel.FormatVersion)
 	for _, ent := range entries {
 		name := ent.Name()
+		path := filepath.Join(dir, name)
 		switch {
 		case ent.IsDir():
 			continue
 		case strings.HasSuffix(name, ".corrupt"):
 			out.PriorQuarantine++
-		case strings.HasPrefix(name, curPrefix) && strings.HasSuffix(name, ".gob"):
+		case !strings.HasSuffix(name, ".gob"):
+			continue
+		case strings.HasPrefix(name, runPrefix):
 			out.Runs++
-			switch verifyRunEntry(filepath.Join(dir, name)) {
-			case verifyOK:
+			if verify(path, func(data []byte) error { return unsealRun(data, &persistedRun{}) }) {
 				out.OK++
-			case verifyQuarantined:
-				out.Quarantined++
-			case verifyFailed:
-				out.Failed++
 			}
-		case strings.HasPrefix(name, "run-v") && strings.HasSuffix(name, ".gob"):
+		case strings.HasPrefix(name, modelPrefix):
+			out.Models++
+			if verify(path, func(data []byte) error { _, err := costmodel.Decode(data); return err }) {
+				out.ModelsOK++
+			}
+		case strings.HasPrefix(name, "run-v"), strings.HasPrefix(name, "costmodel-v"):
 			out.Stale++
 		}
 	}
-	// Checkpoint cells: same envelope discipline, own format version.
-	cellGlob := filepath.Join(checkpointRoot(dir), "*", "cell-*.gob")
-	cells, err := filepath.Glob(cellGlob)
+	// Checkpoint cells: same envelope, own format version.
+	cells, err := filepath.Glob(filepath.Join(checkpointRoot(dir), "*", "cell-*.gob"))
 	if err != nil {
 		return out, fmt.Errorf("experiment: verifying checkpoints: %w", err)
 	}
 	for _, path := range cells {
-		if strings.HasSuffix(path, ".corrupt") {
-			continue
-		}
 		out.Cells++
-		switch verifyEnvelopeFile(path, checkpointVersion) {
-		case verifyOK:
+		if verify(path, envelope(checkpointVersion)) {
 			out.CellsOK++
-		case verifyQuarantined:
-			out.Quarantined++
-		case verifyFailed:
-			out.Failed++
 		}
 	}
-	// Lease files: same envelope discipline again. A lease that verifies
-	// but whose cell already published is swept — its holder died (or
-	// faulted) between publish and release, and no worker ever claims a
+	// Lease files: same envelope again. A lease that verifies but whose
+	// cell already published is swept — its holder died (or faulted)
+	// between publish and release, and no worker ever claims a
 	// published cell, so it would linger forever.
 	leases, err := filepath.Glob(filepath.Join(leaseRoot(dir), "*", "cell-*.lease"))
 	if err != nil {
@@ -124,29 +148,25 @@ func VerifyRunCache(dir string) (VerifyResult, error) {
 	}
 	for _, path := range leases {
 		out.Leases++
-		switch verifyEnvelopeFile(path, leaseVersion) {
-		case verifyOK:
-			out.LeasesOK++
-			if cellPublished(dir, path) {
-				if err := os.Remove(path); err == nil {
-					out.LeasesSwept++
-				} else {
-					appRunMemo.noteReadFailure(path, fmt.Errorf("fsck: sweeping released lease: %w", err))
-					out.Failed++
-				}
+		if !verify(path, envelope(leaseVersion)) {
+			continue
+		}
+		out.LeasesOK++
+		if cellPublished(dir, path) {
+			if err := os.Remove(path); err == nil {
+				out.LeasesSwept++
+			} else {
+				st.ReadFailed(path, fmt.Errorf("fsck: sweeping released lease: %w", err))
+				out.Failed++
 			}
-		case verifyQuarantined:
-			out.Quarantined++
-		case verifyFailed:
-			out.Failed++
 		}
 	}
-	// Orphaned temp files: every writer in this store goes through
-	// CreateTemp with a dot-prefixed *.tmp pattern and renames or removes
-	// it; a temp file still present belongs to a killed writer (fsck
-	// assumes no writers are live) and is swept.
+	// Orphaned temp files: every writer in this store goes through a
+	// dot-prefixed *.tmp temp file and renames, links or removes it; a
+	// temp file still present belongs to a killed writer (fsck assumes
+	// no writers are live) and is swept.
 	for _, root := range []string{dir, checkpointRoot(dir), leaseRoot(dir)} {
-		swept, failed := sweepTempFiles(root)
+		swept, failed := sweepTempFiles(st, root)
 		out.TmpSwept += swept
 		out.Failed += failed
 	}
@@ -166,7 +186,7 @@ func cellPublished(cacheDir, leasePath string) bool {
 // sweepTempFiles removes dot-prefixed *.tmp files under root (one level
 // of subdirectories deep — the layout's maximum), reporting how many
 // were swept and how many removals failed.
-func sweepTempFiles(root string) (swept, failed int) {
+func sweepTempFiles(st *store.Store, root string) (swept, failed int) {
 	for _, pattern := range []string{
 		filepath.Join(root, ".*.tmp"),
 		filepath.Join(root, "*", ".*.tmp"),
@@ -179,58 +199,10 @@ func sweepTempFiles(root string) (swept, failed int) {
 			if err := os.Remove(path); err == nil {
 				swept++
 			} else if !os.IsNotExist(err) {
-				appRunMemo.noteReadFailure(path, fmt.Errorf("fsck: sweeping temp file: %w", err))
+				st.ReadFailed(path, fmt.Errorf("fsck: sweeping temp file: %w", err))
 				failed++
 			}
 		}
 	}
 	return swept, failed
-}
-
-// verifyOutcome classifies one fsck'd entry.
-type verifyOutcome int
-
-const (
-	verifyOK          verifyOutcome = iota // entry verified cleanly
-	verifyQuarantined                      // entry was corrupt and is now *.corrupt
-	verifyFailed                           // entry is bad but still in place (read or rename failed)
-)
-
-// verifyRunEntry re-hashes and fully decodes one run entry, putting a
-// failing file in quarantine.
-func verifyRunEntry(path string) verifyOutcome {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		appRunMemo.noteReadFailure(path, err)
-		return verifyFailed
-	}
-	var p persistedRun
-	if err := openBlob(data, runCacheVersion, &p); err == nil && p.Version == runCacheVersion {
-		return verifyOK
-	}
-	if err := quarantineBlob(path); err != nil {
-		appRunMemo.noteReadFailure(path, fmt.Errorf("fsck: quarantining failed entry: %w", err))
-		return verifyFailed
-	}
-	appRunMemo.noteQuarantine(path, fmt.Errorf("fsck: entry failed verification"))
-	return verifyQuarantined
-}
-
-// verifyEnvelopeFile re-hashes one enveloped file (payload schema not
-// interpreted), quarantining on failure.
-func verifyEnvelopeFile(path string, version int) verifyOutcome {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		appRunMemo.noteReadFailure(path, err)
-		return verifyFailed
-	}
-	if _, err := openEnvelope(data, version); err == nil {
-		return verifyOK
-	}
-	if err := quarantineBlob(path); err != nil {
-		appRunMemo.noteReadFailure(path, fmt.Errorf("fsck: quarantining failed cell: %w", err))
-		return verifyFailed
-	}
-	appRunMemo.noteQuarantine(path, fmt.Errorf("fsck: cell failed verification"))
-	return verifyQuarantined
 }

@@ -1,6 +1,7 @@
 package learn
 
 import (
+	"bytes"
 	"encoding/gob"
 	"fmt"
 	"io"
@@ -8,6 +9,7 @@ import (
 	"os"
 
 	"cohmeleon/internal/soc"
+	"cohmeleon/internal/store"
 )
 
 // Learner-state persistence. A deployment trains once and then ships
@@ -274,14 +276,15 @@ func Restore(st *TabularState) (Algorithm, error) {
 	return a, nil
 }
 
-// SaveStateFile writes a learner snapshot to a file.
+// SaveStateFile writes a learner snapshot to a file. The file is
+// published whole through a temp file and a rename, so a failed save
+// leaves any previous file at path as it was.
 func SaveStateFile(path string, st *TabularState) error {
-	f, err := os.Create(path)
-	if err != nil {
+	var buf bytes.Buffer
+	if err := EncodeState(&buf, st); err != nil {
 		return err
 	}
-	defer f.Close()
-	return EncodeState(f, st)
+	return store.WriteAtomic(path, buf.Bytes(), store.Faults{})
 }
 
 // LoadStateFile reads a learner snapshot from a file (either format
@@ -317,16 +320,6 @@ func DecodeTable(r io.Reader) (*QTable, error) {
 			st.Algo, len(st.Tables))
 	}
 	return st.Tables[0].Table, nil
-}
-
-// SaveFile writes the table to a file.
-func (t *QTable) SaveFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return t.Encode(f)
 }
 
 // LoadTableFile reads a table from a file.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"math"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -84,7 +85,8 @@ func TestQTableFileRoundTrip(t *testing.T) {
 	q := NewQTable()
 	q.Update(7, aLLCCoh, 0.9, 0.25)
 	path := filepath.Join(t.TempDir(), "model.qtable")
-	if err := q.SaveFile(path); err != nil {
+	st := &TabularState{Algo: DefaultAlgorithm, Tables: []NamedTable{{Name: "q", Table: q}}}
+	if err := SaveStateFile(path, st); err != nil {
 		t.Fatal(err)
 	}
 	got, err := LoadTableFile(path)
@@ -93,6 +95,35 @@ func TestQTableFileRoundTrip(t *testing.T) {
 	}
 	if got.Q(7, aLLCCoh) != q.Q(7, aLLCCoh) {
 		t.Fatal("file round-trip lost data")
+	}
+}
+
+// TestFailedSaveKeepsPreviousFile: a save that fails must leave the
+// file an earlier save published byte-identical, not truncated.
+func TestFailedSaveKeepsPreviousFile(t *testing.T) {
+	q := NewQTable()
+	q.Update(7, aLLCCoh, 0.9, 0.25)
+	path := filepath.Join(t.TempDir(), "model.qtable")
+	st := &TabularState{Algo: DefaultAlgorithm, Tables: []NamedTable{{Name: "q", Table: q}}}
+	if err := SaveStateFile(path, st); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := SaveStateFile(path, &TabularState{}); err == nil {
+		t.Fatal("saving an empty learner state succeeded")
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Fatalf("failed save changed the file: %d bytes before, %d after", len(before), len(after))
+	}
+	if left, _ := filepath.Glob(filepath.Join(filepath.Dir(path), ".*.tmp")); len(left) != 0 {
+		t.Fatalf("failed save leaked temp files: %v", left)
 	}
 }
 

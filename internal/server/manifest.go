@@ -6,20 +6,28 @@ import (
 	"path/filepath"
 	"sort"
 
-	"cohmeleon/internal/experiment"
+	"cohmeleon/internal/faultinject"
+	"cohmeleon/internal/store"
 )
 
 // Job manifests make jobs crash-resumable: every admission and every
 // state transition persists the job — spec, state, progress, and (when
 // done) the full report — as a checksummed blob under
-// <cache-dir>/jobs/, written with the same atomic temp+rename
-// discipline as run-store entries. A restarted server over the same
-// cache directory re-adopts every manifest: settled jobs serve their
-// persisted reports byte-identically, unsettled ones re-enter the
-// queue and resume from their checkpointed cells.
+// <cache-dir>/jobs/, written, read and quarantined through the same
+// store as run-store entries, so manifest faults count in /statsz. A
+// restarted server over the same cache directory re-adopts every
+// manifest: settled jobs serve their persisted reports
+// byte-identically, unsettled ones re-enter the queue and resume from
+// their checkpointed cells.
 
 // manifestVersion tags the manifest blob format.
 const manifestVersion = 1
+
+// manifestFaults are the manifests' failpoints.
+var manifestFaults = store.Faults{
+	Open: faultinject.ManifestOpen, Create: faultinject.ManifestCreate,
+	Write: faultinject.ManifestWrite, Rename: faultinject.ManifestRename,
+}
 
 // manifest is the persisted form of a job.
 type manifest struct {
@@ -55,8 +63,8 @@ func (s *Server) persistJob(j *Job) {
 		ID: st.ID, Seq: j.seq, Spec: st.Spec, State: string(st.State),
 		Error: st.Error, Report: j.reportForManifest(), Cells: st.Cells,
 	}
-	// Ignore the error: WriteManifestBlob already counted and reported it.
-	_ = experiment.WriteManifestBlob(s.manifests, manifestPath(s.manifests, st.ID), manifestVersion, &m)
+	// Ignore the error: the store already counted and reported it.
+	_ = s.store.Write("job manifest", manifestPath(s.manifests, st.ID), manifestVersion, &m, manifestFaults)
 }
 
 // reportForManifest returns the report regardless of state (Status's
@@ -71,9 +79,10 @@ func (j *Job) reportForManifest() string {
 // loadManifests reads every manifest under dir, in sequence order.
 // Corrupt manifests are quarantined (*.corrupt) and skipped — one
 // rotted job must not keep the server from starting; unreadable ones
-// fail the load, because silently forgetting adoptable jobs is worse
-// than refusing to start.
-func loadManifests(dir string) ([]manifest, error) {
+// (including a corrupt one that could not be moved aside) fail the
+// load, because silently forgetting adoptable jobs is worse than
+// refusing to start.
+func loadManifests(st *store.Store, dir string) ([]manifest, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		if os.IsNotExist(err) {
@@ -87,12 +96,14 @@ func loadManifests(dir string) ([]manifest, error) {
 			continue
 		}
 		var m manifest
-		ok, err := experiment.ReadManifestBlob(filepath.Join(dir, e.Name()), manifestVersion, &m)
-		if err != nil {
-			return nil, fmt.Errorf("server: job manifest %s: %w", e.Name(), err)
-		}
-		if ok {
+		status, err := st.Read(filepath.Join(dir, e.Name()), manifestFaults, func(data []byte) error {
+			return store.Unseal(data, manifestVersion, &m)
+		})
+		switch status {
+		case store.Hit:
 			out = append(out, m)
+		case store.Unreadable:
+			return nil, fmt.Errorf("server: job manifest %s: %w", e.Name(), err)
 		}
 	}
 	sort.Slice(out, func(i, k int) bool { return out[i].Seq < out[k].Seq })

@@ -11,6 +11,7 @@ import (
 
 	"cohmeleon/internal/experiment"
 	"cohmeleon/internal/faultinject"
+	"cohmeleon/internal/store"
 )
 
 // Config sizes the server's admission control and worker pools.
@@ -86,6 +87,7 @@ type Server struct {
 	gate      experiment.Gate
 	queue     *jobQueue
 	manifests string
+	store     *store.Store
 
 	mu       sync.Mutex
 	jobs     map[string]*Job
@@ -122,6 +124,7 @@ func New(cfg Config) (*Server, error) {
 		gate:      experiment.NewGate(budget),
 		queue:     newJobQueue(cfg.QueueCap),
 		manifests: dir,
+		store:     experiment.RunStore(),
 		jobs:      make(map[string]*Job),
 		baseCtx:   ctx,
 		baseStop:  stop,
@@ -137,7 +140,7 @@ func New(cfg Config) (*Server, error) {
 // unsettled ones re-enter the queue (past its capacity — admission was
 // already granted once) and will resume from their checkpoints.
 func (s *Server) adopt() error {
-	manifests, err := loadManifests(s.manifests)
+	manifests, err := loadManifests(s.store, s.manifests)
 	if err != nil {
 		return err
 	}

@@ -219,10 +219,10 @@ func TestManifestRoundTripAndCorruptQuarantine(t *testing.T) {
 		ID: "job-000003", Seq: 3, Spec: tinySweepSpec(), State: string(StateDone),
 		Report: "the report", Cells: CellProgress{Done: 3, Total: 3, Replayed: 1},
 	}
-	if err := experiment.WriteManifestBlob(dir, manifestPath(dir, m.ID), manifestVersion, &m); err != nil {
+	if err := experiment.RunStore().Write("job manifest", manifestPath(dir, m.ID), manifestVersion, &m, manifestFaults); err != nil {
 		t.Fatal(err)
 	}
-	got, err := loadManifests(dir)
+	got, err := loadManifests(experiment.RunStore(), dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +234,7 @@ func TestManifestRoundTripAndCorruptQuarantine(t *testing.T) {
 	if err := os.WriteFile(bad, []byte("rot"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got, err = loadManifests(dir)
+	got, err = loadManifests(experiment.RunStore(), dir)
 	if err != nil {
 		t.Fatalf("corrupt manifest failed the load: %v", err)
 	}
@@ -485,7 +485,7 @@ func TestServeAdoptsRunningManifestAfterHardCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := manifest{ID: "job-000007", Seq: 7, Spec: tinySweepSpec(), State: string(StateRunning)}
-	if err := experiment.WriteManifestBlob(jobsDir, manifestPath(jobsDir, m.ID), manifestVersion, &m); err != nil {
+	if err := experiment.RunStore().Write("job manifest", manifestPath(jobsDir, m.ID), manifestVersion, &m, manifestFaults); err != nil {
 		t.Fatal(err)
 	}
 	srv, err := New(testConfig(dir))
