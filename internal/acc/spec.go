@@ -218,18 +218,6 @@ func NewPlan(spec *Spec, footprintBytes int64, rng *sim.RNG) *Plan {
 	return p
 }
 
-// Chunks returns the total number of chunks the plan will produce.
-func (p *Plan) Chunks() int {
-	perPass := (p.readLines + p.chunkLines - 1) / p.chunkLines
-	return int(perPass) * p.passes
-}
-
-// Passes returns the number of passes over the dataset.
-func (p *Plan) Passes() int { return p.passes }
-
-// TotalLines returns the dataset size in lines.
-func (p *Plan) TotalLines() int64 { return p.lines }
-
 // Next fills out with the next chunk of work and reports whether one was
 // produced. The slices inside out are reused across calls.
 func (p *Plan) Next(out *ChunkPlan) bool {

@@ -25,27 +25,8 @@ const (
 	Modified
 )
 
-// String returns the one-letter MESI name.
-func (s State) String() string {
-	switch s {
-	case Invalid:
-		return "I"
-	case Shared:
-		return "S"
-	case Exclusive:
-		return "E"
-	case Modified:
-		return "M"
-	default:
-		return fmt.Sprintf("State(%d)", uint8(s))
-	}
-}
-
 // Dirty reports whether the state holds data newer than the next level.
 func (s State) Dirty() bool { return s == Modified }
-
-// Valid reports whether the state holds usable data.
-func (s State) Valid() bool { return s != Invalid }
 
 // way is one tag-store entry of a private cache. The layout is 16 bytes
 // so a 4-way set spans a single hardware cache line: tag scans are the
@@ -118,16 +99,10 @@ func New(name string, sizeBytes int64, assoc int) *Cache {
 	return c
 }
 
-// Name returns the cache name.
-func (c *Cache) Name() string { return c.name }
-
 // SizeBytes returns the cache capacity in bytes.
 func (c *Cache) SizeBytes() int64 {
 	return c.numSets * c.assoc * mem.LineBytes
 }
-
-// Stats returns a copy of the event counters.
-func (c *Cache) Stats() Stats { return c.stats }
 
 // ValidLines returns the number of valid lines currently held.
 func (c *Cache) ValidLines() int { return c.lines }
@@ -153,33 +128,12 @@ func (c *Cache) find(line mem.LineAddr) (int64, []way, int) {
 	return s, set, bits.TrailingZeros32(matchWays(set, line))
 }
 
-// Lookup returns the state of the line without touching LRU or counters.
-func (c *Cache) Lookup(line mem.LineAddr) (State, bool) {
-	if _, set, j := c.find(line); j < len(set) {
-		return set[j].state, true
-	}
-	return Invalid, false
-}
-
-// Access performs a lookup that counts as a cache access: on hit it
-// refreshes LRU and returns the state; on miss it returns (Invalid,
-// false). The caller decides what to do about the miss.
-func (c *Cache) Access(line mem.LineAddr) (State, bool) {
-	s, set, j := c.find(line)
-	if j < len(set) {
-		c.rec[s].touch(j)
-		c.stats.Hits++
-		return set[j].state, true
-	}
-	c.stats.Misses++
-	return Invalid, false
-}
-
-// AccessUpgrade performs Access and, when write is set and the hit state
-// already carries write permission (Modified or Exclusive), upgrades the
-// line to Modified in the same tag scan. It returns the state the line
-// held before the upgrade. Equivalent to Access followed by SetState on
-// the M/E write-hit path, without the second scan.
+// AccessUpgrade performs a lookup that counts as a cache access: on hit
+// it refreshes LRU and, when write is set and the hit state already
+// carries write permission (Modified or Exclusive), upgrades the line to
+// Modified in the same tag scan. It returns the state the line held
+// before the upgrade; on miss it returns (Invalid, false) and the caller
+// decides what to do about the miss.
 func (c *Cache) AccessUpgrade(line mem.LineAddr, write bool) (State, bool) {
 	s, set, j := c.find(line)
 	if j >= len(set) {
@@ -236,23 +190,6 @@ func (c *Cache) Insert(line mem.LineAddr, st State, llcWay int32) Victim {
 	}
 	*w = way{line: line, state: st, llcWay: llcWay}
 	return v
-}
-
-// SetState transitions the line to st if present; it reports whether the
-// line was found. SetState(Invalid) behaves like Invalidate without
-// returning dirtiness.
-func (c *Cache) SetState(line mem.LineAddr, st State) bool {
-	s, set, j := c.find(line)
-	if j >= len(set) {
-		return false
-	}
-	if st == Invalid {
-		c.lines--
-		set[j].line = noLine
-		c.rec[s].drop(j)
-	}
-	set[j].state = st
-	return true
 }
 
 // Invalidate drops the line and reports (present, wasDirty) so the

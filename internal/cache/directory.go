@@ -17,20 +17,6 @@ const (
 	DirDirty
 )
 
-// String returns a short name for the LLC state.
-func (s DirState) String() string {
-	switch s {
-	case DirInvalid:
-		return "inv"
-	case DirClean:
-		return "clean"
-	case DirDirty:
-		return "dirty"
-	default:
-		return fmt.Sprintf("DirState(%d)", uint8(s))
-	}
-}
-
 // NoOwner marks a directory entry with no exclusive private-cache owner.
 const NoOwner = -1
 
@@ -48,14 +34,6 @@ type DirEntry struct {
 // HasSharers reports whether any agent holds a Shared copy.
 func (e *DirEntry) HasSharers() bool { return e.Sharers != 0 }
 
-// SharerList expands the sharer bitmask into agent indices, ascending.
-// It allocates; hot paths should use ForEachSharer instead.
-func (e *DirEntry) SharerList() []int {
-	var out []int
-	e.ForEachSharer(func(i int) { out = append(out, i) })
-	return out
-}
-
 // ForEachSharer calls fn for every sharing agent in ascending index
 // order, without allocating. fn must not mutate the sharer mask (capture
 // e.Sharers first if it needs to).
@@ -65,9 +43,7 @@ func (e *DirEntry) ForEachSharer(fn func(agent int)) {
 
 // Owner/sharer mutations of entries resident in a Directory must go
 // through the Directory's SetOwner/AddSharer/... methods so the
-// partition occupancy summary stays exact. The DirEntry-level AddSharer
-// and RemoveSharer below exist for entries outside a directory (test
-// fixtures, detached victims).
+// partition occupancy summary stays exact.
 
 // ForEachSharerMask iterates a raw sharer bitmask (e.g. the one carried
 // by a DirVictim) in ascending index order, without allocating.
@@ -80,15 +56,6 @@ func forEachSharer(mask uint64, fn func(agent int)) {
 		fn(i)
 	}
 }
-
-// AddSharer marks agent as holding a Shared copy.
-func (e *DirEntry) AddSharer(agent int) { e.Sharers |= 1 << uint(agent) }
-
-// RemoveSharer clears agent's Shared copy.
-func (e *DirEntry) RemoveSharer(agent int) { e.Sharers &^= 1 << uint(agent) }
-
-// IsSharer reports whether agent holds a Shared copy.
-func (e *DirEntry) IsSharer(agent int) bool { return e.Sharers&(1<<uint(agent)) != 0 }
 
 // DirStats counts directory events.
 type DirStats struct {
@@ -164,9 +131,6 @@ func NewDirectory(name string, sizeBytes int64, assoc int) *Directory {
 	return d
 }
 
-// Name returns the partition name.
-func (d *Directory) Name() string { return d.name }
-
 // SizeBytes returns the partition capacity.
 func (d *Directory) SizeBytes() int64 {
 	return d.numSets * d.assoc * mem.LineBytes
@@ -217,19 +181,6 @@ func (d *Directory) Probe(line mem.LineAddr) *DirEntry {
 	return nil
 }
 
-// Access looks the line up, counting a hit or miss and refreshing LRU on
-// hit. It returns nil on miss.
-func (d *Directory) Access(line mem.LineAddr) *DirEntry {
-	s, base, j := d.find(line)
-	if int64(j) < d.assoc {
-		d.rec[s].touch(j)
-		d.stats.Hits++
-		return &d.entries[base+int64(j)]
-	}
-	d.stats.Misses++
-	return nil
-}
-
 // DirVictim describes a line displaced from the LLC. If Owner or Sharers
 // are set, inclusion requires the caller to recall/invalidate the
 // private copies; WasDirty tells it whether the LLC data itself must go
@@ -259,11 +210,10 @@ func (d *Directory) Insert(line mem.LineAddr, st DirState) (*DirEntry, DirVictim
 	return d.fill(s, base, line, st)
 }
 
-// AccessOrInsert looks the line up and, on a miss, fills it with
-// missState. It is exactly equivalent to Access followed (on miss) by
-// Insert, but pays one set scan instead of two. hit reports whether the
-// line was already present; on a miss the returned victim (if Valid)
-// must be handled as for Insert.
+// AccessOrInsert looks the line up, counting a hit or miss and
+// refreshing LRU on hit, and on a miss fills it with missState in the
+// same set scan. hit reports whether the line was already present; on a
+// miss the returned victim (if Valid) must be handled as for Insert.
 func (d *Directory) AccessOrInsert(line mem.LineAddr, missState DirState) (e *DirEntry, v DirVictim, hit bool) {
 	if missState == DirInvalid {
 		panic("cache: directory AccessOrInsert with invalid state")
@@ -326,12 +276,6 @@ func (d *Directory) noteEvicted(owner int, sharers uint64) {
 // or invalidation — the run-level flows and range flushes use this to
 // take their batched fast paths.
 func (d *Directory) HasPrivateCopies() bool { return d.owned != 0 || d.shared != 0 }
-
-// OwnedLines returns the number of resident entries with an owner.
-func (d *Directory) OwnedLines() int { return d.owned }
-
-// SharedLines returns the number of resident entries with ≥1 sharer.
-func (d *Directory) SharedLines() int { return d.shared }
 
 // SetOwner makes agent the exclusive owner of a resident entry,
 // maintaining the occupancy summary. agent may be NoOwner to clear.

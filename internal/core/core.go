@@ -20,28 +20,21 @@ type (
 	Attribute = learn.Attribute
 	// State is an encoded Table-3 state in [0, NumStates).
 	State = learn.State
-	// Encoder maps a sensed context to a State.
-	Encoder = learn.Encoder
 )
 
-// The five attributes, re-exported from learn.
+// Table-3 attributes, re-exported from learn.
 const (
-	AttrFullyCohAcc   = learn.AttrFullyCohAcc
-	AttrNonCohPerTile = learn.AttrNonCohPerTile
-	AttrToLLCPerTile  = learn.AttrToLLCPerTile
-	AttrTileFootprint = learn.AttrTileFootprint
-	AttrAccFootprint  = learn.AttrAccFootprint
-	NumAttributes     = learn.NumAttributes
+	AttrAccFootprint = learn.AttrAccFootprint
+	NumAttributes    = learn.NumAttributes
 )
 
 // NumStates is the size of the state space: 3^5 = 243 (paper §4.2).
 const NumStates = learn.NumStates
 
-// Encoder constructors and the state decoder, re-exported from learn.
+// Encoder constructors, re-exported from learn.
 var (
 	NewEncoder        = learn.NewEncoder
 	NewAblatedEncoder = learn.NewAblatedEncoder
-	Decode            = learn.Decode
 )
 
 // QTable is the 243×4 value table, now learn.QTable.
@@ -52,6 +45,5 @@ type QTable = learn.QTable
 var (
 	NewQTable     = learn.NewQTable
 	MergeTables   = learn.MergeTables
-	DecodeTable   = learn.DecodeTable
 	LoadTableFile = learn.LoadTableFile
 )

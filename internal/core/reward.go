@@ -86,9 +86,6 @@ func NewRewardComputer(w RewardWeights) (*RewardComputer, error) {
 // support (paper §4.3).
 func (rc *RewardComputer) UseTrueDDR(on bool) { rc.useTrue = on }
 
-// Weights returns the normalized weights in use.
-func (rc *RewardComputer) Weights() RewardWeights { return rc.weights }
-
 // Components returns the three reward components for a result, updating
 // the per-accelerator history first (so min/max include this
 // invocation, per the paper's min over j ≤ i).

@@ -55,9 +55,6 @@ func NewEstimator(ex *Extractor, m *Model) *Estimator {
 	return e
 }
 
-// Model returns the fitted model backing the estimator.
-func (e *Estimator) Model() *Model { return e.m }
-
 // threadState tracks one thread's analytic execution through a phase.
 type threadState struct {
 	spec    *workload.ThreadSpec

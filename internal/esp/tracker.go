@@ -29,9 +29,6 @@ func NewTracker(s *soc.SoC) *Tracker {
 	return &Tracker{s: s, active: make(map[int]*activeInv)}
 }
 
-// ActiveCount returns the number of in-flight accelerator invocations.
-func (tr *Tracker) ActiveCount() int { return len(tr.active) }
-
 // Add records an invocation as active. It panics if the tile already
 // has one in flight (LCAs execute one task at a time).
 func (tr *Tracker) Add(a *soc.AccTile, mode soc.Mode, buf *mem.Buffer) {
@@ -48,15 +45,6 @@ func (tr *Tracker) Remove(a *soc.AccTile) {
 		panic(fmt.Sprintf("esp: accelerator %s not active", a.InstName))
 	}
 	delete(tr.active, a.ID)
-}
-
-// Mode returns the active invocation's mode for a tile, if any.
-func (tr *Tracker) Mode(a *soc.AccTile) (soc.Mode, bool) {
-	inv, ok := tr.active[a.ID]
-	if !ok {
-		return 0, false
-	}
-	return inv.mode, true
 }
 
 func (tr *Tracker) perPartition(buf *mem.Buffer) []int64 {

@@ -91,16 +91,6 @@ func Ablation(opt Options) (*AblationResult, error) {
 	return &AblationResult{Points: points}, nil
 }
 
-// Point returns a variant's measurement.
-func (r *AblationResult) Point(variant string) (AblationPoint, bool) {
-	for _, p := range r.Points {
-		if p.Variant == variant {
-			return p, true
-		}
-	}
-	return AblationPoint{}, false
-}
-
 // Render formats the ablation table.
 func (r *AblationResult) Render() string {
 	t := &Table{

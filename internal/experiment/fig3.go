@@ -183,17 +183,6 @@ func fig3Measure(cfg *soc.Config, insts []string, mode soc.Mode, bytes int64, op
 	return execSum, memSum, nil
 }
 
-// Slowdown returns the normalized execution time for a mode at a
-// concurrency level.
-func (r *Fig3Result) Slowdown(mode soc.Mode, accs int) float64 {
-	for _, p := range r.Points {
-		if p.Mode == mode && p.Accs == accs {
-			return p.NormExec
-		}
-	}
-	return 0
-}
-
 // Render formats the figure.
 func (r *Fig3Result) Render() string {
 	t := &Table{

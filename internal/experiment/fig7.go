@@ -86,16 +86,6 @@ func Figure7(opt Options) (*Fig7Result, error) {
 	return out, nil
 }
 
-// Share returns a policy's selection share of a mode for a size key.
-func (r *Fig7Result) Share(pol, size string, mode soc.Mode) float64 {
-	for _, row := range r.Rows {
-		if row.Policy == pol && row.Size == size {
-			return row.Percent[mode]
-		}
-	}
-	return 0
-}
-
 // Render formats the breakdown.
 func (r *Fig7Result) Render() string {
 	t := &Table{

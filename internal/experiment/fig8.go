@@ -91,29 +91,6 @@ func Figure8(opt Options) (*Fig8Result, error) {
 	return out, nil
 }
 
-// Final returns the last point of a schedule.
-func (r *Fig8Result) Final(schedule int) (Fig8Point, bool) {
-	var out Fig8Point
-	found := false
-	for _, p := range r.Points {
-		if p.Schedule == schedule && (!found || p.Iteration > out.Iteration) {
-			out = p
-			found = true
-		}
-	}
-	return out, found
-}
-
-// At returns the point for a schedule and iteration.
-func (r *Fig8Result) At(schedule, iter int) (Fig8Point, bool) {
-	for _, p := range r.Points {
-		if p.Schedule == schedule && p.Iteration == iter {
-			return p, true
-		}
-	}
-	return Fig8Point{}, false
-}
-
 // Render formats one series per schedule.
 func (r *Fig8Result) Render() string {
 	mt := &MultiTable{}

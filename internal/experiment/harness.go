@@ -8,7 +8,6 @@ import (
 	"cohmeleon/internal/core"
 	"cohmeleon/internal/costmodel"
 	"cohmeleon/internal/esp"
-	"cohmeleon/internal/mem"
 	"cohmeleon/internal/policy"
 	"cohmeleon/internal/sim"
 	"cohmeleon/internal/soc"
@@ -355,6 +354,3 @@ func geoNormalized(res, base *workload.AppResult) (exec, mem float64) {
 func sizeClassOf(res *esp.Result, cfg *soc.Config) workload.SizeClass {
 	return workload.Classify(res.FootprintBytes, cfg)
 }
-
-// lineBytes re-exports the line size for reports.
-const lineBytes = mem.LineBytes

@@ -374,16 +374,6 @@ func Learners(opt Options) (*LearnersResult, error) {
 	return out, nil
 }
 
-// Row returns the aggregate for a stack label.
-func (r *LearnersResult) Row(stack string) (LearnerRow, bool) {
-	for _, row := range r.Rows {
-		if row.Stack == stack {
-			return row, true
-		}
-	}
-	return LearnerRow{}, false
-}
-
 // Render formats the per-stack aggregate.
 func (r *LearnersResult) Render() string {
 	t := &Table{

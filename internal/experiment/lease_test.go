@@ -17,7 +17,7 @@ import (
 func leaseTestTable(t *testing.T, worker string, ttl time.Duration) *leaseTable {
 	t.Helper()
 	lt, err := openLeaseTable(RunStore(), "test-v1-abc", Options{
-		WorkerID: worker, LeaseTTL: ttl, LeaseHeartbeat: ttl / 5,
+		WorkerID: worker, LeaseTTL: ttl,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -124,12 +124,8 @@ type Options struct {
 	// peers judge its holder dead and reclaim the cell; zero means 10s.
 	// Staleness is measured on each observer's own monotonic clock, so
 	// host clock skew cannot expire a live lease. Only meaningful with
-	// Shared.
+	// Shared. Held leases renew every TTL/5.
 	LeaseTTL time.Duration
-	// LeaseHeartbeat is the renewal interval for held leases; zero means
-	// LeaseTTL/5. Must be shorter than LeaseTTL. Only meaningful with
-	// Shared.
-	LeaseHeartbeat time.Duration
 }
 
 // workerID resolves the worker identity written into lease files.
@@ -152,13 +148,9 @@ func (o Options) leaseTTL() time.Duration {
 	return 10 * time.Second
 }
 
-// leaseHeartbeat resolves the renewal interval.
-func (o Options) leaseHeartbeat() time.Duration {
-	if o.LeaseHeartbeat > 0 {
-		return o.LeaseHeartbeat
-	}
-	return o.leaseTTL() / 5
-}
+// leaseHeartbeat is the renewal interval: a fifth of the TTL, so a live
+// holder renews several times before any observer could judge it dead.
+func (o Options) leaseHeartbeat() time.Duration { return o.leaseTTL() / 5 }
 
 // CellEvent describes one completed grid cell of a checkpointed
 // experiment.
@@ -208,13 +200,6 @@ func (o Options) Validate() error {
 		return fmt.Errorf("experiment: learner scenarios %d must be ≥ 1", o.LearnerScenarios)
 	case o.LeaseTTL < 0:
 		return fmt.Errorf("experiment: lease TTL %v must be ≥ 0", o.LeaseTTL)
-	case o.LeaseHeartbeat < 0:
-		return fmt.Errorf("experiment: lease heartbeat %v must be ≥ 0", o.LeaseHeartbeat)
-	case o.LeaseHeartbeat > 0 && o.LeaseHeartbeat >= o.leaseTTL():
-		// A heartbeat at or past the TTL guarantees live leases look
-		// stale between renewals — every worker would reclaim every cell.
-		return fmt.Errorf("experiment: lease heartbeat %v must be shorter than lease TTL %v",
-			o.LeaseHeartbeat, o.leaseTTL())
 	}
 	if o.Retry != nil {
 		if err := o.Retry.Validate(); err != nil {

@@ -40,7 +40,7 @@ func (o Options) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// TrialPanic is the value forEach re-panics with when a worker trial
+// TrialPanic is the value a fan-out re-panics with when a worker trial
 // panicked: the original panic value survives in Value (a recovering
 // caller can inspect or re-raise it), with the trial index and worker
 // stack alongside for diagnosis.
@@ -93,7 +93,7 @@ func (g Gate) release() {
 // InFlight reports the cells currently holding the gate.
 func (g Gate) InFlight() int { return len(g) }
 
-// fanout bundles the dispatch controls forEach threads to every trial:
+// fanout bundles the dispatch controls run threads to every trial:
 // context, worker budget, admission gate, and cell retry policy.
 type fanout struct {
 	ctx     context.Context
@@ -102,7 +102,7 @@ type fanout struct {
 	gate    Gate
 }
 
-// forEach runs fn(i) for every i in [0, n) on up to `workers` goroutines
+// run runs fn(i) for every i in [0, n) on up to f.workers goroutines
 // and waits for the ones it started. Dispatch is fail-fast: once any
 // trial errors or panics, or ctx is cancelled, no new index is handed
 // out; in-flight trials finish. Errors are collected per index and the
@@ -113,11 +113,7 @@ type fanout struct {
 // are whole and the cancellation is moot. A panicking task does not tear
 // down the process from a bare goroutine: the panic is captured and
 // re-raised on the calling goroutine as a *TrialPanic (lowest index
-// first). With workers == 1 (or n == 1) fn runs inline in index order.
-func forEach(ctx context.Context, workers, n int, fn func(i int) error) error {
-	return fanout{ctx: ctx, workers: workers}.run(n, fn)
-}
-
+// first). With one worker (or n == 1) fn runs inline in index order.
 func (f fanout) run(n int, fn func(i int) error) error {
 	ctx, workers := f.ctx, f.workers
 	if n <= 0 {
@@ -242,8 +238,8 @@ func runTrial(i int, fn func(i int) error) error {
 	return fn(i)
 }
 
-// forEachOpt is forEach with the worker count, context, gate, and retry
-// policy taken from the options.
+// forEachOpt fans out n trials with the worker count, context, gate,
+// and retry policy taken from the options.
 func forEachOpt(opt Options, n int, fn func(i int) error) error {
 	return fanout{ctx: opt.ctx(), workers: opt.workers(), retry: opt.Retry, gate: opt.Gate}.run(n, fn)
 }

@@ -17,16 +17,15 @@ import (
 // processes, and that lives in scripts/chaos_shard_smoke.sh.
 
 // sharedSweepOptions configures one shared worker. The TTL is generous
-// (2s against a 100ms heartbeat) so a race-detector scheduling stall
-// can never make a live worker look dead and flake the test; dead-
-// holder tests shorten the observer's TTL instead.
+// (2s, so a 400ms heartbeat) so a race-detector scheduling stall can
+// never make a live worker look dead and flake the test; dead-holder
+// tests shorten the observer's TTL instead.
 func sharedSweepOptions(worker string) Options {
 	opt := Tiny()
 	opt.SweepScenarios = 3
 	opt.Shared = true
 	opt.WorkerID = worker
 	opt.LeaseTTL = 2 * time.Second
-	opt.LeaseHeartbeat = 100 * time.Millisecond
 	return opt
 }
 
@@ -135,7 +134,6 @@ func TestSharedSweepDeadWorkerReclaimed(t *testing.T) {
 	// lease layer against the real grid's lease directory.
 	surv := sharedSweepOptions("survivor")
 	surv.LeaseTTL = 300 * time.Millisecond
-	surv.LeaseHeartbeat = 60 * time.Millisecond
 	ck, err := openCheckpoint("sweep", sweepParamHash(surv, nil), true)
 	if err != nil || ck == nil {
 		t.Fatalf("openCheckpoint = (%v, %v)", ck, err)
@@ -295,7 +293,6 @@ func TestSharedLearnersTwoWorkersByteIdentical(t *testing.T) {
 					o.Shared = true
 					o.WorkerID = []string{"w1", "w2"}[w]
 					o.LeaseTTL = 2 * time.Second
-					o.LeaseHeartbeat = 100 * time.Millisecond
 					res, err := Learners(o)
 					if err != nil {
 						errs[w] = err
@@ -332,21 +329,10 @@ func TestSharedModeRequiresCacheDir(t *testing.T) {
 	}
 }
 
-// TestSharedOptionValidation: lease tuning that would break the
-// protocol (heartbeat at or past the TTL) is an option error.
+// TestSharedOptionValidation: a negative lease TTL is an option error.
 func TestSharedOptionValidation(t *testing.T) {
 	opt := Tiny()
 	opt.Shared = true
-	opt.LeaseTTL = time.Second
-	opt.LeaseHeartbeat = time.Second
-	if err := opt.Validate(); err == nil || !strings.Contains(err.Error(), "heartbeat") {
-		t.Fatalf("heartbeat == TTL validated as %v, want heartbeat error", err)
-	}
-	opt.LeaseHeartbeat = -time.Second
-	if err := opt.Validate(); err == nil {
-		t.Fatal("negative heartbeat validated clean")
-	}
-	opt.LeaseHeartbeat = 0
 	opt.LeaseTTL = -time.Second
 	if err := opt.Validate(); err == nil {
 		t.Fatal("negative TTL validated clean")

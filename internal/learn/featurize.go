@@ -142,18 +142,3 @@ func (e *Encoder) Encode(ctx *esp.Context) State {
 
 // Featurize implements Featurizer.
 func (e *Encoder) Featurize(ctx *esp.Context) State { return e.Encode(ctx) }
-
-// Decode expands a state index back into attribute buckets (for
-// reporting and tests).
-func Decode(s State) [NumAttributes]int {
-	if int(s) >= NumStates {
-		panic(fmt.Sprintf("learn: state %d out of range", s))
-	}
-	var v [NumAttributes]int
-	idx := int(s)
-	for a := NumAttributes - 1; a >= 0; a-- {
-		v[a] = idx % valuesPerAttribute
-		idx /= valuesPerAttribute
-	}
-	return v
-}

@@ -10,11 +10,9 @@ import (
 	"math/bits"
 )
 
-// Line geometry. The simulator tracks memory at cache-line granularity.
-const (
-	LineBytes = 64 // cache-line size
-	LineShift = 6  // log2(LineBytes)
-)
+// LineBytes is the cache-line size. The simulator tracks memory at
+// cache-line granularity.
+const LineBytes = 64
 
 // Page geometry. ESP allocates accelerator data in big pages so the
 // accelerator TLB holds the whole page table; we use 1 MB pages.
@@ -34,7 +32,7 @@ type LineAddr int64
 
 // AddressMap describes the partitioning of the global address space
 // across memory tiles: partition i owns lines
-// [i*PartLines, (i+1)*PartLines).
+// [i*partLines, (i+1)*partLines).
 type AddressMap struct {
 	partitions int
 	partLines  int64
@@ -60,9 +58,6 @@ func NewAddressMap(partitions int, partBytes int64) *AddressMap {
 // Partitions returns the number of memory partitions (memory tiles).
 func (m *AddressMap) Partitions() int { return m.partitions }
 
-// PartLines returns the number of lines per partition.
-func (m *AddressMap) PartLines() int64 { return m.partLines }
-
 // Home returns the partition that owns the given line.
 func (m *AddressMap) Home(line LineAddr) int {
 	var p int
@@ -80,11 +75,6 @@ func (m *AddressMap) Home(line LineAddr) int {
 // PartitionBase returns the first line of partition p.
 func (m *AddressMap) PartitionBase(p int) LineAddr {
 	return LineAddr(int64(p) * m.partLines)
-}
-
-// TotalBytes returns the size of the whole address space.
-func (m *AddressMap) TotalBytes() int64 {
-	return int64(m.partitions) * m.partLines * LineBytes
 }
 
 // Extent is a contiguous run of physical lines within one partition.
@@ -107,20 +97,6 @@ type Buffer struct {
 // Lines returns the dataset size in cache lines (rounded up).
 func (b *Buffer) Lines() int64 {
 	return (b.Bytes + LineBytes - 1) / LineBytes
-}
-
-// LineAt maps a logical line offset in [0, Lines()) to its physical line.
-func (b *Buffer) LineAt(logical int64) LineAddr {
-	if logical < 0 {
-		panic("mem: negative logical line")
-	}
-	for _, e := range b.Extents {
-		if logical < e.Lines {
-			return e.Start + LineAddr(logical)
-		}
-		logical -= e.Lines
-	}
-	panic(fmt.Sprintf("mem: logical line %d beyond buffer", logical))
 }
 
 // Pages returns the number of physical pages backing the buffer.

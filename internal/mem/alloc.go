@@ -95,9 +95,3 @@ func (a *Allocator) Free(buf *Buffer) {
 	}
 	buf.Extents = nil
 }
-
-// UsedBytes reports the bytes currently allocated on partition p.
-func (a *Allocator) UsedBytes(p int) int64 { return a.usedBytes[p] }
-
-// FreePages reports the free pages remaining on partition p.
-func (a *Allocator) FreePages(p int) int { return len(a.freePages[p]) }

@@ -1,10 +1,6 @@
 package mem
 
-import (
-	"fmt"
-
-	"cohmeleon/internal/sim"
-)
+import "cohmeleon/internal/sim"
 
 // Controller models one DRAM controller: a fixed access latency plus a
 // data channel with the paper's bandwidth of 32 bits per cycle
@@ -30,7 +26,7 @@ func NewController(tile int, latency, perLine sim.Cycles) *Controller {
 	}
 	return &Controller{
 		tile:    tile,
-		channel: sim.NewResource(fmt.Sprintf("dram-%d", tile)),
+		channel: new(sim.Resource),
 		latency: latency,
 		perLine: perLine,
 	}
@@ -69,9 +65,6 @@ func (c *Controller) Post(at sim.Cycles, lines int64, write bool) sim.Cycles {
 	}
 	return end
 }
-
-// Tile returns the memory tile index this controller belongs to.
-func (c *Controller) Tile() int { return c.tile }
 
 // Total returns the monitor value: total line accesses (reads + writes).
 func (c *Controller) Total() int64 { return c.reads + c.writes }

@@ -80,8 +80,8 @@ type Mesh struct {
 	// of route src->dst are routeLinks[routeOff[ri]:routeOff[ri+1]] with
 	// ri = srcTile*tiles + dstTile. Offsets into one backing array keep
 	// the lookup tables dense (4 bytes per entry instead of a 24-byte
-	// slice header per pair); routes are static and Transfer walks one on
-	// every simulated message.
+	// slice header per pair); NewPath resolves a route once per tile
+	// pair.
 	routeOff   []int32
 	routeLinks []int32
 	// planeBusy accumulates the total reserved service time per plane.
@@ -146,12 +146,6 @@ func (m *Mesh) buildRoutes() {
 	m.routeLinks = backing
 }
 
-// Width returns the mesh width in tiles.
-func (m *Mesh) Width() int { return m.width }
-
-// Height returns the mesh height in tiles.
-func (m *Mesh) Height() int { return m.height }
-
 // InBounds reports whether c lies on the mesh.
 func (m *Mesh) InBounds(c Coord) bool {
 	return c.X >= 0 && c.X < m.width && c.Y >= 0 && c.Y < m.height
@@ -163,101 +157,12 @@ func (m *Mesh) linkIndex(from Coord, dir int) int {
 	return (from.Y*m.width+from.X)*numDirs + dir
 }
 
-// Route returns the XY dimension-order route from src to dst as the list
-// of (coordinate, direction) steps. An empty route means src == dst.
-func (m *Mesh) Route(src, dst Coord) []step {
-	if !m.InBounds(src) || !m.InBounds(dst) {
-		panic(fmt.Sprintf("noc: route %v -> %v out of bounds", src, dst))
-	}
-	var path []step
-	cur := src
-	for cur.X != dst.X {
-		d := dirEast
-		next := Coord{cur.X + 1, cur.Y}
-		if dst.X < cur.X {
-			d = dirWest
-			next = Coord{cur.X - 1, cur.Y}
-		}
-		path = append(path, step{cur, d})
-		cur = next
-	}
-	for cur.Y != dst.Y {
-		d := dirSouth
-		next := Coord{cur.X, cur.Y + 1}
-		if dst.Y < cur.Y {
-			d = dirNorth
-			next = Coord{cur.X, cur.Y - 1}
-		}
-		path = append(path, step{cur, d})
-		cur = next
-	}
-	return path
-}
-
-type step struct {
-	from Coord
-	dir  int
-}
-
-// Hops returns the Manhattan distance between two coordinates.
-func Hops(a, b Coord) int {
-	return abs(a.X-b.X) + abs(a.Y-b.Y)
-}
-
-func abs(x int) int {
-	if x < 0 {
-		return -x
-	}
-	return x
-}
-
-// Transfer sends a message of size bytes from src to dst on the given
-// plane, starting no earlier than at, and returns the arrival time of the
-// tail flit. The model is wormhole-like: the head advances one cycle per
-// hop and the payload reserves serialization time on every link; queueing
-// at any congested link delays the tail accordingly.
-//
-// A zero-hop transfer (src == dst, e.g. an accelerator talking to the
-// memory controller in its own tile) costs only serialization.
-//
-// Transfer resolves the route on every call and walks it by link index,
-// so it stays allocation-free; hot paths between fixed tile pairs should
-// hold a Path (whose route is resolved down to cursor pointers once) and
-// Send on it instead. The two walks apply the identical reservation
-// discipline; the noc property tests pin them against each other.
-func (m *Mesh) Transfer(plane Plane, src, dst Coord, bytes int, at sim.Cycles) sim.Cycles {
-	if !m.InBounds(src) || !m.InBounds(dst) {
-		panic(fmt.Sprintf("noc: transfer %v -> %v out of bounds", src, dst))
-	}
-	service := sim.Cycles((bytes+FlitBytes-1)/FlitBytes + HeaderFlits)
-	ri := (src.Y*m.width+src.X)*m.width*m.height + dst.Y*m.width + dst.X
-	route := m.routeLinks[m.routeOff[ri]:m.routeOff[ri+1]]
-	if len(route) == 0 {
-		return at + service
-	}
-	links := m.links[int(plane)*m.linkCount:]
-	cur := at
-	for _, li := range route {
-		start := cur
-		if avail := links[li]; avail > start {
-			start = avail
-		}
-		links[li] = start + service
-		cur = start + HopCycles
-	}
-	m.planeBusy[plane] += service * sim.Cycles(len(route))
-	return cur + service
-}
-
-// Path is a precomputed unidirectional route on one plane, for callers
-// that send many messages between the same pair of tiles (an agent and
-// its home LLC slice, an accelerator and a memory controller). Send
-// applies exactly the reservation discipline of Transfer — byte-for-byte
-// identical timing — without re-resolving the route, plane offset, and
-// busy counter per message. Construction resolves every hop down to a
-// pointer at its link's availability cursor, so the Send walk carries no
-// index arithmetic or bounds checks — it is the single hottest loop of
-// the simulator.
+// Path is a precomputed unidirectional route on one plane: the way to
+// send messages between a pair of tiles (an agent and its home LLC
+// slice, an accelerator and a memory controller). Construction resolves
+// every hop down to a pointer at its link's availability cursor, so the
+// Send walk carries no route lookup, index arithmetic or bounds checks —
+// it is the single hottest loop of the simulator.
 type Path struct {
 	route []*sim.Cycles // link cursors of the XY route (empty: src == dst)
 	busy  *sim.Cycles   // the plane's busy total
@@ -282,8 +187,12 @@ func (m *Mesh) NewPath(plane Plane, src, dst Coord) Path {
 }
 
 // Send transmits a message of size bytes along the path, starting no
-// earlier than at, and returns the arrival time of the tail flit. It is
-// equivalent to Mesh.Transfer over the same (plane, src, dst).
+// earlier than at, and returns the arrival time of the tail flit. The
+// model is wormhole-like: the head advances one cycle per hop and the
+// payload reserves serialization time on every link; queueing at any
+// congested link delays the tail accordingly. A zero-hop path (src ==
+// dst, e.g. an accelerator talking to the memory controller in its own
+// tile) costs only serialization.
 func (p *Path) Send(bytes int, at sim.Cycles) sim.Cycles {
 	service := sim.Cycles((bytes+FlitBytes-1)/FlitBytes + HeaderFlits)
 	route := p.route
@@ -305,15 +214,6 @@ func (p *Path) Send(bytes int, at sim.Cycles) sim.Cycles {
 	// The tail leaves the last link at start+service and arrives one hop
 	// later; with cur = start + HopCycles that is exactly cur + service.
 	return cur + service
-}
-
-// RoundTrip models a small request (header-only) to dst followed by a
-// response of size bytes back to src; it returns the time the response
-// tail arrives. remoteService is extra time spent at the destination
-// before the response departs.
-func (m *Mesh) RoundTrip(reqPlane, rspPlane Plane, src, dst Coord, bytes int, remoteService, at sim.Cycles) sim.Cycles {
-	reqArrive := m.Transfer(reqPlane, src, dst, 0, at)
-	return m.Transfer(rspPlane, dst, src, bytes, reqArrive+remoteService)
 }
 
 // LinkBusy returns the total busy cycles summed over all links of a

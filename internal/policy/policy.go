@@ -51,9 +51,6 @@ func NewFixed(mode soc.Mode) *Fixed { return &Fixed{mode: mode} }
 // Name implements esp.Policy.
 func (f *Fixed) Name() string { return "fixed-" + f.mode.String() }
 
-// Mode returns the configured mode.
-func (f *Fixed) Mode() soc.Mode { return f.mode }
-
 // Decide implements esp.Policy.
 func (f *Fixed) Decide(ctx *esp.Context) soc.Mode { return ctx.Clamp(f.mode) }
 

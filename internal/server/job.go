@@ -1,7 +1,7 @@
 // Package server turns the batch experiment runner into a resilient
 // sweep-as-a-service: an HTTP job server that accepts sweep/learners
 // job specs, fans their grid cells across a bounded worker pool through
-// the same forEach/checkpoint machinery the CLI uses, streams per-cell
+// the same fan-out/checkpoint machinery the CLI uses, streams per-cell
 // progress, and serves final reports that are byte-identical to the
 // equivalent CLI run. Robustness is layered on the experiment package's
 // existing guarantees: per-job deadlines and cooperative cancel ride on
@@ -216,12 +216,6 @@ func newJob(id string, spec JobSpec) *Job {
 	return j
 }
 
-// ID returns the job's identifier.
-func (j *Job) ID() string { return j.id }
-
-// Spec returns the job's submitted spec.
-func (j *Job) Spec() JobSpec { return j.spec }
-
 // Status snapshots the job for the status endpoint.
 func (j *Job) Status() JobStatus {
 	j.mu.Lock()
@@ -249,17 +243,6 @@ func (j *Job) Report() (string, bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.report, j.state == StateDone
-}
-
-// Wait blocks until the job settles (terminal, or interrupted by a
-// drain) and returns its state. Test helper.
-func (j *Job) Wait() JobState {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	for !j.settled {
-		j.cond.Wait()
-	}
-	return j.state
 }
 
 // start transitions queued → running, recording the cancel hook.

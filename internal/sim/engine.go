@@ -36,11 +36,9 @@ import (
 // cycles of the simulated SoC.
 type Cycles int64
 
-// maxCycles is the far-future deadline Run uses to drain everything.
-const maxCycles = Cycles(1<<63 - 1)
-
 // event is a scheduled wakeup: either a process resumption (proc != nil)
-// or a callback (fn != nil). Exactly one of the two is set.
+// or a callback (fn != nil; only the kernel tests schedule callbacks).
+// Exactly one of the two is set.
 type event struct {
 	at   Cycles
 	seq  uint64 // tie-break: FIFO among same-cycle events
@@ -86,23 +84,6 @@ func NewEngine() *Engine {
 
 // Now returns the current virtual time.
 func (e *Engine) Now() Cycles { return e.now }
-
-// Schedule runs fn at the given absolute time. Scheduling in the past is
-// an error in the caller; it is clamped to the current time so that the
-// event still runs (in insertion order) rather than corrupting the clock.
-func (e *Engine) Schedule(at Cycles, fn func()) {
-	e.seq++
-	if at <= e.now {
-		e.ready = append(e.ready, event{at: e.now, seq: e.seq, fn: fn})
-		return
-	}
-	e.push(event{at: at, seq: e.seq, fn: fn})
-}
-
-// After runs fn after delay cycles.
-func (e *Engine) After(delay Cycles, fn func()) {
-	e.Schedule(e.now+delay, fn)
-}
 
 // wake enqueues a process resumption at the current cycle on the ready
 // ring. The entry consumes a sequence number exactly like a heap push,
@@ -166,15 +147,12 @@ func (e *Engine) pop() event {
 	return top
 }
 
-// next removes and returns the earliest event with at <= deadline,
-// merging the sorted ready ring with the heap by (at, seq).
-func (e *Engine) next(deadline Cycles) (event, bool) {
+// next removes and returns the earliest event, merging the sorted ready
+// ring with the heap by (at, seq).
+func (e *Engine) next() (event, bool) {
 	if e.readyHead < len(e.ready) {
 		ev := &e.ready[e.readyHead]
 		if len(e.queue) == 0 || ev.before(&e.queue[0]) {
-			if ev.at > deadline {
-				return event{}, false
-			}
 			out := *ev
 			*ev = event{} // release the fn/proc references
 			e.readyHead++
@@ -185,7 +163,7 @@ func (e *Engine) next(deadline Cycles) (event, bool) {
 			return out, true
 		}
 	}
-	if len(e.queue) > 0 && e.queue[0].at <= deadline {
+	if len(e.queue) > 0 {
 		return e.pop(), true
 	}
 	return event{}, false
@@ -211,7 +189,7 @@ func (e *Engine) Run() error {
 	e.running = true
 	defer func() { e.running = false }()
 	for {
-		ev, ok := e.next(maxCycles)
+		ev, ok := e.next()
 		if !ok {
 			break
 		}
@@ -222,31 +200,6 @@ func (e *Engine) Run() error {
 	}
 	if e.parked > 0 {
 		return e.deadlockErr()
-	}
-	return nil
-}
-
-// RunUntil executes events with time ≤ deadline, leaving later events
-// queued, and advances the clock to the deadline. Like Run it rejects
-// reentrant calls (from inside an event or a process).
-func (e *Engine) RunUntil(deadline Cycles) error {
-	if e.running {
-		return fmt.Errorf("sim: RunUntil called reentrantly")
-	}
-	e.running = true
-	defer func() { e.running = false }()
-	for {
-		ev, ok := e.next(deadline)
-		if !ok {
-			break
-		}
-		if ev.at > e.now {
-			e.now = ev.at
-		}
-		e.dispatch(ev)
-	}
-	if e.now < deadline {
-		e.now = deadline
 	}
 	return nil
 }
@@ -262,12 +215,6 @@ func (e *Engine) deadlockErr() error {
 	}
 	return fmt.Errorf("sim: %w: %d process(es) still waiting: %s",
 		ErrDeadlock, e.parked, strings.Join(names, ", "))
-}
-
-// Pending reports the number of queued events (including same-cycle
-// wakeups not yet drained).
-func (e *Engine) Pending() int {
-	return len(e.queue) + len(e.ready) - e.readyHead
 }
 
 // Reset returns the engine to its initial state (clock at zero, no

@@ -81,56 +81,29 @@ func TestEventsScheduledDuringRunExecute(t *testing.T) {
 	}
 }
 
-func TestRunUntilLeavesLaterEvents(t *testing.T) {
-	e := NewEngine()
-	var ran []Cycles
-	for _, at := range []Cycles{10, 20, 30} {
-		at := at
-		e.Schedule(at, func() { ran = append(ran, at) })
-	}
-	if err := e.RunUntil(20); err != nil {
-		t.Fatalf("RunUntil: %v", err)
-	}
-	if len(ran) != 2 {
-		t.Fatalf("ran %v, want first two", ran)
-	}
-	if e.Now() != 20 {
-		t.Fatalf("Now = %d, want 20", e.Now())
-	}
-	if e.Pending() != 1 {
-		t.Fatalf("Pending = %d, want 1", e.Pending())
-	}
-}
-
 func TestRunRejectsReentrantCalls(t *testing.T) {
 	e := NewEngine()
-	var runErr, untilErr error
-	e.Schedule(10, func() {
-		runErr = e.Run()
-		untilErr = e.RunUntil(100)
-	})
+	var runErr error
+	e.Schedule(10, func() { runErr = e.Run() })
 	if err := e.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	if runErr == nil {
 		t.Fatal("reentrant Run should fail")
 	}
-	if untilErr == nil {
-		t.Fatal("reentrant RunUntil should fail")
-	}
 }
 
-func TestRunUntilReentrantFromProc(t *testing.T) {
+func TestRunReentrantFromProc(t *testing.T) {
 	e := NewEngine()
 	var gotErr error
 	e.Go("p", func(p *Proc) {
-		gotErr = e.RunUntil(50)
+		gotErr = e.Run()
 	})
 	if err := e.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	if gotErr == nil {
-		t.Fatal("RunUntil from inside a process should fail")
+		t.Fatal("Run from inside a process should fail")
 	}
 }
 
@@ -538,7 +511,7 @@ func TestWaitGroupZeroCountReturnsImmediately(t *testing.T) {
 }
 
 func TestResourceSerializesOverlappingRequests(t *testing.T) {
-	r := NewResource("dram")
+	r := new(Resource)
 	s1, e1 := r.Acquire(0, 10)
 	if s1 != 0 || e1 != 10 {
 		t.Fatalf("first grant (%d,%d), want (0,10)", s1, e1)
@@ -560,7 +533,7 @@ func TestResourceSerializesOverlappingRequests(t *testing.T) {
 }
 
 func TestResourceZeroDurationIsOrderingPoint(t *testing.T) {
-	r := NewResource("x")
+	r := new(Resource)
 	r.Acquire(0, 10)
 	s, e := r.Acquire(0, 0)
 	if s != 10 || e != 10 {
@@ -568,36 +541,10 @@ func TestResourceZeroDurationIsOrderingPoint(t *testing.T) {
 	}
 }
 
-func TestMultiResourceParallelServers(t *testing.T) {
-	m := NewMultiResource("cpus", 2)
-	_, e1 := m.Acquire(0, 10)
-	_, e2 := m.Acquire(0, 10)
-	if e1 != 10 || e2 != 10 {
-		t.Fatalf("two servers should run in parallel: %d, %d", e1, e2)
-	}
-	s3, _ := m.Acquire(0, 10)
-	if s3 != 10 {
-		t.Fatalf("third request should queue: start %d, want 10", s3)
-	}
-	if m.Servers() != 2 {
-		t.Fatalf("Servers = %d, want 2", m.Servers())
-	}
-}
-
-func TestMultiResourcePicksEarliestServer(t *testing.T) {
-	m := NewMultiResource("cpus", 2)
-	m.Acquire(0, 100) // server 0 busy until 100
-	m.Acquire(0, 10)  // server 1 busy until 10
-	s, _ := m.Acquire(0, 5)
-	if s != 10 {
-		t.Fatalf("start = %d, want 10 (earliest server)", s)
-	}
-}
-
 // Property: resource grants never overlap and never start before request.
 func TestResourceGrantInvariants(t *testing.T) {
 	f := func(reqs []uint16) bool {
-		r := NewResource("p")
+		r := new(Resource)
 		var lastEnd Cycles
 		var at Cycles
 		for _, raw := range reqs {

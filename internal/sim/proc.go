@@ -88,9 +88,6 @@ func (p *Proc) park(state uint8) {
 // Name returns the process name (for diagnostics).
 func (p *Proc) Name() string { return p.name }
 
-// Engine returns the engine this process runs on.
-func (p *Proc) Engine() *Engine { return p.eng }
-
 // Now returns the current virtual time.
 func (p *Proc) Now() Cycles { return p.eng.now }
 
@@ -165,12 +162,6 @@ func (s *Semaphore) Release() {
 	}
 	s.permits++
 }
-
-// Available reports the number of free permits.
-func (s *Semaphore) Available() int { return s.permits }
-
-// Waiting reports the number of queued processes.
-func (s *Semaphore) Waiting() int { return len(s.waiters) }
 
 // WaitGroup counts outstanding activities; Wait blocks a process until
 // the count returns to zero. Unlike sync.WaitGroup it is tied to virtual

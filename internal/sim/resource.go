@@ -8,16 +8,13 @@ package sim
 // the FIFO discipline matches arrival order at transaction granularity.
 //
 // Resource performs no event scheduling itself, which keeps per-line
-// cache and link operations allocation-free and O(1).
+// cache and link operations allocation-free and O(1). The zero value is
+// an idle resource.
 type Resource struct {
-	name        string
 	availableAt Cycles
 	busy        Cycles // total busy cycles, for utilization stats
 	grants      uint64
 }
-
-// NewResource returns an idle resource.
-func NewResource(name string) *Resource { return &Resource{name: name} }
 
 // Acquire reserves dur cycles of service starting no earlier than at.
 // It returns the service window. dur may be zero (a pure ordering point).
@@ -33,65 +30,5 @@ func (r *Resource) Acquire(at, dur Cycles) (start, end Cycles) {
 	return start, end
 }
 
-// AvailableAt reports the earliest time a new reservation could start.
-func (r *Resource) AvailableAt() Cycles { return r.availableAt }
-
 // BusyCycles reports the total reserved service time.
 func (r *Resource) BusyCycles() Cycles { return r.busy }
-
-// Grants reports the number of reservations made.
-func (r *Resource) Grants() uint64 { return r.grants }
-
-// Name returns the resource name.
-func (r *Resource) Name() string { return r.name }
-
-// MultiResource models k identical FIFO servers sharing one queue (the
-// CPU pool of an SMP SoC). A request is served by the earliest-available
-// server.
-type MultiResource struct {
-	name    string
-	servers []Cycles // availableAt per server
-	busy    Cycles
-	grants  uint64
-}
-
-// NewMultiResource returns an idle pool of k servers.
-func NewMultiResource(name string, k int) *MultiResource {
-	if k <= 0 {
-		panic("sim: MultiResource needs at least one server")
-	}
-	return &MultiResource{name: name, servers: make([]Cycles, k)}
-}
-
-// Acquire reserves dur cycles on the earliest-available server, starting
-// no earlier than at, and returns the service window.
-func (m *MultiResource) Acquire(at, dur Cycles) (start, end Cycles) {
-	best := 0
-	for i, avail := range m.servers {
-		if avail < m.servers[best] {
-			best = i
-		}
-		_ = avail
-	}
-	start = at
-	if m.servers[best] > start {
-		start = m.servers[best]
-	}
-	end = start + dur
-	m.servers[best] = end
-	m.busy += dur
-	m.grants++
-	return start, end
-}
-
-// Servers reports the pool size.
-func (m *MultiResource) Servers() int { return len(m.servers) }
-
-// BusyCycles reports the total reserved service time across servers.
-func (m *MultiResource) BusyCycles() Cycles { return m.busy }
-
-// Grants reports the number of reservations made.
-func (m *MultiResource) Grants() uint64 { return m.grants }
-
-// Name returns the pool name.
-func (m *MultiResource) Name() string { return m.name }

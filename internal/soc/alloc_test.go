@@ -59,7 +59,7 @@ func TestZeroAllocGroupFlows(t *testing.T) {
 		writebacks func() int64
 	}{
 		{"llc-dma write thrash", dmaThrash, 2 * aliases, func() int64 { return mt.LLC.Stats().Writebacks }},
-		{"cached write stream", cachedStream, int(ext.Lines / group), func() int64 { return l2.Stats().Writebacks }},
+		{"cached write stream", cachedStream, int(ext.Lines / group), func() int64 { return cacheStats(l2).FieldByName("Writebacks").Int() }},
 	} {
 		for i := 0; i < tc.warm; i++ {
 			tc.run()

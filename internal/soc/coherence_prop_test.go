@@ -42,7 +42,7 @@ func cacheSnapshot(c *cache.Cache) string {
 	c.ForEachValid(func(line mem.LineAddr, st cache.State) {
 		out += fmt.Sprintf("%d:%v;", line, st)
 	})
-	return fmt.Sprintf("%s stats=%+v lines=%d", out, c.Stats(), c.ValidLines())
+	return fmt.Sprintf("%s stats=%+v lines=%d", out, cacheStats(c), c.ValidLines())
 }
 
 // dirSnapshot flattens an LLC partition's visible state.
@@ -52,7 +52,7 @@ func dirSnapshot(d *cache.Directory) string {
 		out += fmt.Sprintf("%d:%v/o%d/s%x;", e.Line, e.State, e.Owner, e.Sharers)
 	})
 	return fmt.Sprintf("%s stats=%+v lines=%d owned=%d shared=%d",
-		out, d.Stats(), d.ValidLines(), d.OwnedLines(), d.SharedLines())
+		out, d.Stats(), d.ValidLines(), field(d, "owned").Int(), field(d, "shared").Int())
 }
 
 // compareSoCs fails the test at the first observable divergence.
@@ -62,7 +62,7 @@ func compareSoCs(t *testing.T, step string, fast, ref *SoC) {
 		if g, w := cacheSnapshot(fast.agents[id].cache), cacheSnapshot(ref.agents[id].cache); g != w {
 			t.Fatalf("%s: agent %d cache diverged:\n fast %s\n  ref %s", step, id, g, w)
 		}
-		if g, w := fast.agents[id].port.AvailableAt(), ref.agents[id].port.AvailableAt(); g != w {
+		if g, w := availableAt(fast.agents[id].port), availableAt(ref.agents[id].port); g != w {
 			t.Fatalf("%s: agent %d port cursor %d != %d", step, id, g, w)
 		}
 	}
@@ -73,7 +73,7 @@ func compareSoCs(t *testing.T, step string, fast, ref *SoC) {
 		if err := fast.Mem[i].LLC.CheckSummary(); err != nil {
 			t.Fatalf("%s: %v", step, err)
 		}
-		if g, w := fast.Mem[i].Port.AvailableAt(), ref.Mem[i].Port.AvailableAt(); g != w {
+		if g, w := availableAt(fast.Mem[i].Port), availableAt(ref.Mem[i].Port); g != w {
 			t.Fatalf("%s: llc%d port cursor %d != %d", step, i, g, w)
 		}
 		if g, w := fast.Mem[i].DRAM.Total(), ref.Mem[i].DRAM.Total(); g != w {

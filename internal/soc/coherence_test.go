@@ -22,7 +22,7 @@ func TestLLCCohWriteClaimsLineFromStaleOwner(t *testing.T) {
 		// No private flush: CPU still owns the lines in M. The test spec
 		// is non-in-place with ReadFraction 0.8, so writes land in the
 		// trailing fifth of the dataset.
-		written := buf.LineAt(buf.Lines() - 1)
+		written := lineAt(buf, buf.Lines()-1)
 		e := s.homeTile(written).LLC.Probe(written)
 		if e == nil || e.Owner == cache.NoOwner {
 			t.Fatal("setup: line should be owned by the CPU")
@@ -54,7 +54,7 @@ func TestNonCohWritesLandInDRAMNotLLC(t *testing.T) {
 			t.Error("non-coh writes never reached DRAM")
 		}
 		for i := int64(0); i < buf.Lines(); i++ {
-			if s.homeTile(buf.LineAt(i)).LLC.Probe(buf.LineAt(i)) != nil {
+			if s.homeTile(lineAt(buf, i)).LLC.Probe(lineAt(buf, i)) != nil {
 				t.Fatal("non-coh DMA allocated in the LLC")
 			}
 		}
@@ -79,7 +79,7 @@ func TestCohDMAWriteInvalidatesOwner(t *testing.T) {
 		s.RunAccelerator(p, s.Accs[0], buf, CohDMA, sim.NewRNG(1))
 		cpuL2 := s.AgentCache(s.CPUs[0].Agent)
 		// The written prefix must be gone from the CPU cache.
-		if st, hit := cpuL2.Lookup(buf.LineAt(0)); hit && st == cache.Modified {
+		if st, hit := lookup(cpuL2, lineAt(buf, 0)); hit && st == cache.Modified {
 			t.Errorf("written line still M in CPU L2 (%v)", st)
 		}
 	})
@@ -219,7 +219,7 @@ func TestYieldBudgetBoundsLookahead(t *testing.T) {
 func TestBufContains(t *testing.T) {
 	s := build(t, testConfig())
 	buf := allocBuf(t, s, 8<<10)
-	if !bufContains(buf, buf.LineAt(0)) || !bufContains(buf, buf.LineAt(buf.Lines()-1)) {
+	if !bufContains(buf, lineAt(buf, 0)) || !bufContains(buf, lineAt(buf, buf.Lines()-1)) {
 		t.Fatal("bufContains misses owned lines")
 	}
 	if bufContains(buf, buf.Extents[0].End()+mem.PageLines) {

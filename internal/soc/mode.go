@@ -39,9 +39,6 @@ var AllModes = protocol.AllModes
 // UniformActions lists the uniform mode actions in paper order.
 var UniformActions = protocol.UniformActions
 
-// ParseMode converts a mode name back to its value.
-func ParseMode(s string) (Mode, error) { return protocol.ParseMode(s) }
-
 // ModeAction returns the uniform action for a mode.
 func ModeAction(m Mode) Action { return protocol.ModeAction(m) }
 

@@ -14,10 +14,7 @@
 // interpreted by both sides.
 package protocol
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // Mode is an accelerator cache-coherence mode (paper §2).
 type Mode uint8
@@ -74,22 +71,3 @@ func (m Mode) NeedsLLCFlush() bool { return m == NonCohDMA }
 // UsesLLC reports whether accelerator requests are served by the LLC,
 // under the default (mesi) protocol.
 func (m Mode) UsesLLC() bool { return m == LLCCohDMA || m == CohDMA || m == FullyCoh }
-
-// modeNames joins all mode names for error messages.
-func modeNames() string {
-	names := make([]string, 0, NumModes)
-	for _, m := range AllModes {
-		names = append(names, m.String())
-	}
-	return strings.Join(names, ", ")
-}
-
-// ParseMode converts a mode name back to its value.
-func ParseMode(s string) (Mode, error) {
-	for _, m := range AllModes {
-		if m.String() == s {
-			return m, nil
-		}
-	}
-	return 0, fmt.Errorf("soc: unknown coherence mode %q (valid: %s)", s, modeNames())
-}

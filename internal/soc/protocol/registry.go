@@ -83,15 +83,6 @@ func Lookup(name string) (Rules, error) {
 	return r, nil
 }
 
-// Default returns the default protocol's rules.
-func Default() Rules {
-	r, err := Lookup(DefaultName)
-	if err != nil {
-		panic(err)
-	}
-	return r
-}
-
 func init() {
 	// The paper's MESI-style stack: silent-exclusive read grants,
 	// recalls through the LLC fill pipeline, software private flushes

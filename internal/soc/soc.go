@@ -183,7 +183,7 @@ func (c *Config) BuildOn(eng *sim.Engine) (*SoC, error) {
 			Part:  i,
 			Coord: coords.mem[i],
 			LLC:   cache.NewDirectory(fmt.Sprintf("llc%d", i), c.LLCSliceBytes(), llcAssoc),
-			Port:  sim.NewResource(fmt.Sprintf("llc%d-port", i)),
+			Port:  new(sim.Resource),
 			DRAM:  mem.NewController(i, p.DRAMLatencyCycles, p.DRAMPerLineCycles),
 		})
 	}
@@ -256,7 +256,7 @@ func (s *SoC) addAgent(name string, coord noc.Coord, l2Bytes int64) int {
 		name:  name,
 		coord: coord,
 		cache: cache.New(name+"-l2", l2Bytes, l2Assoc),
-		port:  sim.NewResource(name + "-l2-port"),
+		port:  new(sim.Resource),
 	})
 	return id
 }

@@ -110,15 +110,6 @@ func TestModeProperties(t *testing.T) {
 	if NonCohDMA.UsesLLC() || !LLCCohDMA.UsesLLC() || !CohDMA.UsesLLC() || !FullyCoh.UsesLLC() {
 		t.Fatal("UsesLLC wrong")
 	}
-	for _, m := range AllModes {
-		got, err := ParseMode(m.String())
-		if err != nil || got != m {
-			t.Fatalf("ParseMode(%q) = %v, %v", m.String(), got, err)
-		}
-	}
-	if _, err := ParseMode("bogus"); err == nil {
-		t.Fatal("ParseMode should reject unknown names")
-	}
 }
 
 func TestTable4ConfigsBuild(t *testing.T) {
@@ -337,7 +328,7 @@ func TestCohDMARecallsFromCPUCache(t *testing.T) {
 		buf := allocBuf(t, s, 8<<10) // fits in the 32 kB L2: stays Modified
 		p.WaitUntil(warm(s, buf, p.Now()))
 		cpuL2 := s.AgentCache(s.CPUs[0].Agent)
-		if st, hit := cpuL2.Lookup(buf.LineAt(0)); !hit || st != cache.Modified {
+		if st, hit := lookup(cpuL2, lineAt(buf, 0)); !hit || st != cache.Modified {
 			t.Fatalf("warm line should be M in CPU L2, got %v/%v", st, hit)
 		}
 		stats := s.RunAccelerator(p, s.Accs[0], buf, CohDMA, sim.NewRNG(1))
@@ -345,7 +336,7 @@ func TestCohDMARecallsFromCPUCache(t *testing.T) {
 			t.Errorf("coh-dma recall should stay on chip, got %d", stats.OffChip)
 		}
 		// The CPU copy was downgraded (read recall), not invalidated.
-		if st, hit := cpuL2.Lookup(buf.LineAt(0)); hit && st == cache.Modified {
+		if st, hit := lookup(cpuL2, lineAt(buf, 0)); hit && st == cache.Modified {
 			t.Error("coh-dma read should downgrade the CPU's M copy")
 		}
 	})
@@ -367,14 +358,14 @@ func TestFlushPrivateMovesDirtyDataToLLC(t *testing.T) {
 		}
 		cpuL2 := s.AgentCache(s.CPUs[0].Agent)
 		for i := int64(0); i < buf.Lines(); i++ {
-			if _, hit := cpuL2.Lookup(buf.LineAt(i)); hit {
+			if _, hit := lookup(cpuL2, lineAt(buf, i)); hit {
 				t.Fatal("line survived private flush")
 			}
 		}
 		// All lines must now be dirty in the LLC.
 		dirty := 0
 		for i := int64(0); i < buf.Lines(); i++ {
-			e := s.homeTile(buf.LineAt(i)).LLC.Probe(buf.LineAt(i))
+			e := s.homeTile(lineAt(buf, i)).LLC.Probe(lineAt(buf, i))
 			if e != nil && e.State == cache.DirDirty {
 				dirty++
 			}
@@ -397,7 +388,7 @@ func TestFlushLLCWritesDirtyToDRAM(t *testing.T) {
 			t.Errorf("LLC flush wrote %d lines off-chip, want %d", m.OffChip, buf.Lines())
 		}
 		for i := int64(0); i < buf.Lines(); i++ {
-			if s.homeTile(buf.LineAt(i)).LLC.Probe(buf.LineAt(i)) != nil {
+			if s.homeTile(lineAt(buf, i)).LLC.Probe(lineAt(buf, i)) != nil {
 				t.Fatal("line survived LLC flush")
 			}
 		}
@@ -421,7 +412,7 @@ func TestFlushLLCRecallsOwnedLines(t *testing.T) {
 		}
 		cpuL2 := s.AgentCache(s.CPUs[0].Agent)
 		for i := int64(0); i < buf.Lines(); i++ {
-			if _, hit := cpuL2.Lookup(buf.LineAt(i)); hit {
+			if _, hit := lookup(cpuL2, lineAt(buf, i)); hit {
 				t.Fatal("CPU copy survived LLC flush recall")
 			}
 		}

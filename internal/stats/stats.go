@@ -61,34 +61,6 @@ func Normalize(xs, base []float64) []float64 {
 	return out
 }
 
-// Min returns the minimum of xs; it panics on an empty slice.
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		panic("stats: Min of empty slice")
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Max returns the maximum of xs; it panics on an empty slice.
-func Max(xs []float64) float64 {
-	if len(xs) == 0 {
-		panic("stats: Max of empty slice")
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
 // ArgMin returns the index of the smallest element; ties resolve to the
 // earliest index. It panics on an empty slice.
 func ArgMin(xs []float64) int {
@@ -102,13 +74,4 @@ func ArgMin(xs []float64) int {
 		}
 	}
 	return best
-}
-
-// Sum returns the sum of xs.
-func Sum(xs []float64) float64 {
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s
 }

@@ -68,12 +68,6 @@ func TestMinMaxArgMin(t *testing.T) {
 	}
 }
 
-func TestSum(t *testing.T) {
-	if got := Sum([]float64{1.5, 2.5}); !almostEqual(got, 4) {
-		t.Fatalf("Sum = %g", got)
-	}
-}
-
 func TestRatioAvoidsDivisionByZero(t *testing.T) {
 	if got := Ratio(1, 0); math.IsInf(got, 0) || math.IsNaN(got) {
 		t.Fatalf("Ratio(1,0) = %g, want finite", got)
