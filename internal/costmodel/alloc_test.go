@@ -42,8 +42,7 @@ func TestZeroAllocFeaturesEstimate(t *testing.T) {
 }
 
 // TestZeroAllocValidate: validating an application against its SoC
-// allocates nothing — the replay re-validates the same app on every
-// run.
+// allocates nothing — planning an app validates it first.
 func TestZeroAllocValidate(t *testing.T) {
 	est := testEstimator(t)
 	app := testApp(t, est, 3)
@@ -55,6 +54,44 @@ func TestZeroAllocValidate(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("App.Validate allocates %.1f times per call, want 0", allocs)
+	}
+}
+
+// TestZeroAllocPlan: compiling an app's plan is one flat allocation
+// whatever the app's link count, and a replay of an already-planned app
+// reuses the previous replay's scratch: Train allocates nothing, and
+// Run only its result — the AppResult, its phase slice and the fixed
+// policy's name.
+func TestZeroAllocPlan(t *testing.T) {
+	est := testEstimator(t)
+	app := testApp(t, est, 3)
+	twice := &workload.App{Name: app.Name + "-twice", Phases: append(append([]workload.PhaseSpec(nil), app.Phases...), app.Phases...)}
+	for _, a := range []*workload.App{app, twice} {
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := est.compile(a); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 1 {
+			t.Errorf("compiling %s (%d invocations) allocates %.1f times, want 1", a.Name, a.Invocations(), allocs)
+		}
+	}
+	fixed := policy.NewFixed(soc.CohDMA)
+	train := testing.AllocsPerRun(20, func() {
+		if err := est.Train(fixed, app); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if train != 0 {
+		t.Errorf("Train of a planned app allocates %.1f times, want 0", train)
+	}
+	run := testing.AllocsPerRun(20, func() {
+		if _, err := est.Run(fixed, app); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if run > 3 {
+		t.Errorf("Run of a planned app allocates %.1f times, want at most 3", run)
 	}
 }
 

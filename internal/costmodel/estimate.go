@@ -2,6 +2,7 @@ package costmodel
 
 import (
 	"fmt"
+	"sync"
 
 	"cohmeleon/internal/esp"
 	"cohmeleon/internal/mem"
@@ -22,6 +23,18 @@ import (
 // policies train against the model exactly as they would against the
 // simulator.
 //
+// Everything about an invocation that does not depend on the policy's
+// decision is compiled once per application into a plan (see begin):
+// the first replay of an app validates it and evaluates the model for
+// every chain link under every available uniform mode, and later
+// replays of the same app — training iterations, then every policy on
+// the test app — only look the estimates up. Apps must not change
+// after their first replay. Plans are built under a mutex and never
+// mutated afterwards, so concurrent replays on one Estimator (the
+// learners experiment shares one per scenario) are safe. A finished
+// replay leaves its scratch space for the next, so serial replays
+// allocate it once per Estimator.
+//
 // The synthesized sensing makes one deliberate approximation: all
 // datasets are treated as resident on a single memory partition, which
 // is exact for the footprints scenarios draw (at most a few times the
@@ -35,12 +48,16 @@ type Estimator struct {
 	// policies key internal state by ID and read InstName/Spec/Agent.
 	tiles []soc.AccTile
 	avail [][]soc.Mode
+
+	mu    sync.Mutex
+	plans map[*workload.App][]linkPlan
+	spare *scratch // a finished replay's scratch, for the next replay
 }
 
 // NewEstimator pairs an extractor with a fitted model.
 func NewEstimator(ex *Extractor, m *Model) *Estimator {
 	cfg := ex.Config()
-	e := &Estimator{ex: ex, m: m, pms: &cfg.Params}
+	e := &Estimator{ex: ex, m: m, pms: &cfg.Params, plans: make(map[*workload.App][]linkPlan)}
 	e.tiles = make([]soc.AccTile, len(cfg.Accs))
 	e.avail = make([][]soc.Mode, len(cfg.Accs))
 	for i := range cfg.Accs {
@@ -55,15 +72,126 @@ func NewEstimator(ex *Extractor, m *Model) *Estimator {
 	return e
 }
 
+// linkPlan is one chain link of a planned app: the accelerator's config
+// index and the model's (execution cycles, off-chip lines) estimate of
+// the link under each uniform mode the accelerator offers (zero for the
+// modes it does not).
+type linkPlan struct {
+	acc       int32
+	exec, mem [soc.NumModes]float64
+}
+
+// scratch is a replay's working space: the sensed context, the
+// observed result and the thread states.
+type scratch struct {
+	ctx esp.Context
+	r   esp.Result
+	ths []threadState
+}
+
+// begin returns app's plan, compiling it on the app's first replay, and
+// scratch space for the replay: the spare one if no other replay holds
+// it. A plan is one flat slice: every thread's chain, threads in phase
+// and index order, so a replay walking the app in that order finds each
+// thread's links at a running offset. An invalid app is not cached:
+// every replay of it reports the validation error.
+func (e *Estimator) begin(app *workload.App) ([]linkPlan, *scratch, error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	p, ok := e.plans[app]
+	if !ok {
+		var err error
+		if p, err = e.compile(app); err != nil {
+			return nil, nil, err
+		}
+		e.plans[app] = p
+	}
+	s := e.spare
+	if s == nil {
+		s = new(scratch)
+	}
+	e.spare = nil
+	return p, s, nil
+}
+
+// end hands a finished replay's scratch back as the spare.
+func (e *Estimator) end(s *scratch) {
+	e.mu.Lock()
+	e.spare = s
+	e.mu.Unlock()
+}
+
+// compile validates app and evaluates the model for every chain link.
+// The features of a uniform-mode invocation depend only on the
+// accelerator, the mode, the thread's footprint and the phase's thread
+// count, so each estimate is exactly what the per-invocation
+// evaluation would produce.
+func (e *Estimator) compile(app *workload.App) ([]linkPlan, error) {
+	if err := app.Validate(e.ex.Config()); err != nil {
+		return nil, err
+	}
+	n := 0
+	for pi := range app.Phases {
+		for ti := range app.Phases[pi].Threads {
+			n += len(app.Phases[pi].Threads[ti].Chain)
+		}
+	}
+	p := make([]linkPlan, 0, n)
+	var x FeatureVec
+	for pi := range app.Phases {
+		phase := &app.Phases[pi]
+		for ti := range phase.Threads {
+			ts := &phase.Threads[ti]
+			for _, inst := range ts.Chain {
+				ai, ok := e.ex.AccIndex(inst)
+				if !ok {
+					return nil, fmt.Errorf("costmodel: unknown accelerator %q", inst)
+				}
+				lp := linkPlan{acc: int32(ai)}
+				shape := shapeFor(&e.ex.cfg.Accs[ai], ts.FootprintBytes)
+				for _, m := range e.avail[ai] {
+					e.ex.shapedFeatures(ai, soc.ModeAction(m), ts.FootprintBytes, len(phase.Threads), &shape, &x)
+					lp.exec[m], lp.mem[m] = e.m.Estimate(&x)
+				}
+				p = append(p, lp)
+			}
+		}
+	}
+	return p, nil
+}
+
 // threadState tracks one thread's analytic execution through a phase.
 type threadState struct {
 	spec    *workload.ThreadSpec
+	links   []linkPlan // the thread's chain in the app's plan
 	lines   int64
 	steps   int
-	started bool
-	last    soc.Action
+	mode    soc.Mode // hot mode of the thread's latest decision
 	time    float64
 	offchip float64
+}
+
+// tally sums the phase's live threads — those that have decided at
+// least once and are not past their last step — as sensing sees them,
+// each at its latest decision's hot mode. Every field is an integer
+// sum, so keeping it incrementally senses exactly what a scan of the
+// threads would.
+type tally struct {
+	count     int
+	footprint int64
+	modes     [soc.NumModes]int
+}
+
+func (t *tally) add(st *threadState) {
+	t.count++
+	t.footprint += st.spec.FootprintBytes
+	t.modes[st.mode]++
+}
+
+func (t *tally) remove(st *threadState) {
+	t.count--
+	t.footprint -= st.spec.FootprintBytes
+	t.modes[st.mode]--
 }
 
 // Run estimates an application run under pol. The returned AppResult
@@ -88,28 +216,36 @@ func (e *Estimator) Train(pol esp.Policy, app *workload.App) error {
 }
 
 // replay is the step-major analytic replay behind Run and Train; it
-// appends each phase's totals to res unless res is nil. One esp.Result
-// is reused for every observation, which is safe under the esp.Policy
-// contract (policies retain neither the context nor the result past
-// the call). The scratch space — the sensed context, the result and
-// the thread states — is allocated per call, so concurrent replays on
-// one Estimator never share it and a replay's allocations do not grow
-// with its invocation count.
+// appends each phase's totals to res unless res is nil. Per invocation
+// it senses from the phase's live-thread tally, asks the policy, and
+// looks the estimate up in the app's plan; only split actions (the
+// fine-grain action space) evaluate the model in the loop. One
+// esp.Result is reused for every observation, which is safe under the
+// esp.Policy contract (policies retain neither the context nor the
+// result past the call), and for the same reason the scratch space —
+// the context, the result and the thread states — passes from one
+// replay to the next. Concurrent replays on one Estimator never share
+// it (only one holds the spare), and a replay's allocations do not
+// grow with its invocation count.
 func (e *Estimator) replay(pol esp.Policy, app *workload.App, res *workload.AppResult) error {
-	cfg := e.ex.Config()
-	if err := app.Validate(cfg); err != nil {
+	links, s, err := e.begin(app)
+	if err != nil {
 		return err
 	}
+	defer e.end(s)
 	ap, fineGrain := pol.(esp.ActionPolicy)
-	ctx := &esp.Context{}
-	r := &esp.Result{}
+	ctx, r := &s.ctx, &s.r
 	maxThreads := 0
 	for pi := range app.Phases {
 		maxThreads = max(maxThreads, len(app.Phases[pi].Threads))
 	}
-	ths := make([]threadState, maxThreads)
+	if cap(s.ths) < maxThreads {
+		s.ths = make([]threadState, maxThreads)
+	}
+	ths := s.ths[:maxThreads]
 	var x FeatureVec
 
+	off := 0
 	for pi := range app.Phases {
 		phase := &app.Phases[pi]
 		ths := ths[:len(phase.Threads)]
@@ -119,10 +255,11 @@ func (e *Estimator) replay(pol esp.Policy, app *workload.App, res *workload.AppR
 			st := &ths[ti]
 			*st = threadState{
 				spec:  ts,
+				links: links[off : off+len(ts.Chain)],
 				lines: (ts.FootprintBytes + mem.LineBytes - 1) / mem.LineBytes,
 				steps: ts.Invocations(),
-				last:  soc.ModeAction(soc.NonCohDMA),
 			}
+			off += len(ts.Chain)
 			// Dataset initialization (the runner's warm-up touch).
 			e.touch(st, st.lines)
 			maxSteps = max(maxSteps, st.steps)
@@ -133,24 +270,32 @@ func (e *Estimator) replay(pol esp.Policy, app *workload.App, res *workload.AppR
 		// their most recent action — threads before this one in index
 		// order have already decided step k, later ones are still at
 		// k−1 — which mirrors the simultaneous thread start of the
-		// event-driven runner and is deterministic by construction.
+		// event-driven runner and is deterministic by construction. A
+		// thread joins the tally at its first decision and leaves it at
+		// its turn in the first step past its last, and its own entry is
+		// out of the tally while it senses.
+		var live tally
 		for k := 0; k < maxSteps; k++ {
 			for ti := range ths {
 				st := &ths[ti]
 				if k >= st.steps {
+					if k == st.steps {
+						live.remove(st)
+					}
 					continue
 				}
-				loop := k / len(st.spec.Chain)
-				link := k % len(st.spec.Chain)
+				loop := k / len(st.links)
+				link := k % len(st.links)
 				if link == 0 && loop > 0 && st.spec.RewriteFraction > 0 {
 					e.touch(st, int64(float64(st.lines)*st.spec.RewriteFraction))
 				}
 
-				ai, ok := e.ex.AccIndex(st.spec.Chain[link])
-				if !ok {
-					return fmt.Errorf("costmodel: unknown accelerator %q", st.spec.Chain[link])
+				lp := &st.links[link]
+				ai := int(lp.acc)
+				if k > 0 {
+					live.remove(st)
 				}
-				e.sense(ctx, ai, st.spec.FootprintBytes, ths, ti, k)
+				e.sense(ctx, ai, st.spec.FootprintBytes, &live)
 				var act soc.Action
 				if fineGrain {
 					act = ap.DecideAction(ctx)
@@ -162,14 +307,19 @@ func (e *Estimator) replay(pol esp.Policy, app *workload.App, res *workload.AppR
 						pol.Name(), act, st.spec.Chain[link])
 				}
 
-				e.ex.Features(ai, act, st.spec.FootprintBytes, len(ths), &x)
-				estExec, estMem := e.m.Estimate(&x)
+				var estExec, estMem float64
+				if act.IsSplit() {
+					e.ex.Features(ai, act, st.spec.FootprintBytes, len(ths), &x)
+					estExec, estMem = e.m.Estimate(&x)
+				} else {
+					estExec, estMem = lp.exec[act.Hot()], lp.mem[act.Hot()]
+				}
 				estExec += float64(pol.OverheadCycles())
 
 				e.result(r, ai, act, st.spec.FootprintBytes, estExec, estMem, pol)
 				pol.Observe(r)
-				st.last = act
-				st.started = true
+				st.mode = act.Hot()
+				live.add(st)
 				st.time += estExec
 				st.offchip += estMem
 			}
@@ -209,55 +359,30 @@ func (e *Estimator) touch(st *threadState, n int64) {
 }
 
 // sense fills ctx with the decision context the tracker would assemble:
-// the other live threads of the phase are the active invocations, each
+// the live threads in the tally are the other active invocations, each
 // at its most recent action's hot mode, all sharing one partition.
-func (e *Estimator) sense(ctx *esp.Context, ai int, footprint int64, ths []threadState, self, k int) {
+func (e *Estimator) sense(ctx *esp.Context, ai int, footprint int64, live *tally) {
 	cfg := e.ex.Config()
+	nonCoh := live.modes[soc.NonCohDMA]
+	toLLC := live.modes[soc.LLCCohDMA] + live.modes[soc.CohDMA] + live.modes[soc.FullyCoh]
 	*ctx = esp.Context{
-		Acc:            &e.tiles[ai],
-		Available:      e.avail[ai],
-		FootprintBytes: footprint,
-		L2Bytes:        cfg.L2Bytes(),
-		LLCSliceBytes:  cfg.LLCSliceBytes(),
-		TotalLLCBytes:  cfg.TotalLLCBytes(),
+		Acc:                  &e.tiles[ai],
+		Available:            e.avail[ai],
+		FootprintBytes:       footprint,
+		FullyCohActive:       live.modes[soc.FullyCoh],
+		NonCohPerTile:        float64(nonCoh),
+		ToLLCPerTile:         float64(toLLC),
+		TileFootprintBytes:   float64(footprint + live.footprint),
+		ActiveCount:          live.count,
+		ActiveNonCoh:         nonCoh,
+		ActiveLLCCoh:         live.modes[soc.LLCCohDMA],
+		ActiveCohDMA:         live.modes[soc.CohDMA],
+		ActiveFullyCoh:       live.modes[soc.FullyCoh],
+		ActiveFootprintBytes: live.footprint,
+		L2Bytes:              cfg.L2Bytes(),
+		LLCSliceBytes:        cfg.LLCSliceBytes(),
+		TotalLLCBytes:        cfg.TotalLLCBytes(),
 	}
-	var nonCoh, toLLC int
-	for ti := range ths {
-		if ti == self {
-			continue
-		}
-		st := &ths[ti]
-		// Live: already decided at least once and not past its last step
-		// at this decision point (threads after self decided step k−1).
-		lastDone := k
-		if ti > self {
-			lastDone = k - 1
-		}
-		if !st.started || lastDone >= st.steps {
-			continue
-		}
-		mode := st.last.Hot()
-		ctx.ActiveCount++
-		ctx.ActiveFootprintBytes += st.spec.FootprintBytes
-		switch mode {
-		case soc.NonCohDMA:
-			ctx.ActiveNonCoh++
-			nonCoh++
-		case soc.LLCCohDMA:
-			ctx.ActiveLLCCoh++
-			toLLC++
-		case soc.CohDMA:
-			ctx.ActiveCohDMA++
-			toLLC++
-		case soc.FullyCoh:
-			ctx.ActiveFullyCoh++
-			ctx.FullyCohActive++
-			toLLC++
-		}
-	}
-	ctx.NonCohPerTile = float64(nonCoh)
-	ctx.ToLLCPerTile = float64(toLLC)
-	ctx.TileFootprintBytes = float64(footprint + ctx.ActiveFootprintBytes)
 }
 
 // result fills r with the esp.Result of an estimated invocation. The

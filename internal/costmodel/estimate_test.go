@@ -3,6 +3,8 @@ package costmodel
 import (
 	"bytes"
 	"fmt"
+	"reflect"
+	"sync"
 	"testing"
 
 	"cohmeleon/internal/core"
@@ -66,9 +68,19 @@ func testAgent(tb testing.TB, fineGrain bool) *core.Cohmeleon {
 	return agent
 }
 
+// refThread is a thread of the reference replay: the estimator's
+// thread state plus what the scan-based sensing reads.
+type refThread struct {
+	threadState
+	started bool
+	last    soc.Action
+}
+
 // referenceRun is the replay as first written: a fresh Context per
-// decision and a fresh Result per invocation. Run must reproduce its
-// totals and, field for field, the results it observes.
+// decision and a fresh Result per invocation, the app validated and
+// every accelerator resolved and estimated per invocation, and sensing
+// by a scan of the phase's threads. Run must reproduce its totals and,
+// field for field, the contexts it senses and the results it observes.
 func referenceRun(e *Estimator, pol esp.Policy, app *workload.App) (*workload.AppResult, error) {
 	if err := app.Validate(e.ex.Config()); err != nil {
 		return nil, err
@@ -79,7 +91,7 @@ func referenceRun(e *Estimator, pol esp.Policy, app *workload.App) (*workload.Ap
 	for pi := range app.Phases {
 		phase := &app.Phases[pi]
 		pr := workload.PhaseResult{Name: phase.Name}
-		ths := make([]threadState, len(phase.Threads))
+		ths := make([]refThread, len(phase.Threads))
 		maxSteps := 0
 		for ti := range phase.Threads {
 			ts := &phase.Threads[ti]
@@ -88,7 +100,7 @@ func referenceRun(e *Estimator, pol esp.Policy, app *workload.App) (*workload.Ap
 			st.lines = (ts.FootprintBytes + mem.LineBytes - 1) / mem.LineBytes
 			st.steps = ts.Invocations()
 			st.last = soc.ModeAction(soc.NonCohDMA)
-			e.touch(st, st.lines)
+			e.touch(&st.threadState, st.lines)
 			maxSteps = max(maxSteps, st.steps)
 		}
 		for k := 0; k < maxSteps; k++ {
@@ -99,14 +111,14 @@ func referenceRun(e *Estimator, pol esp.Policy, app *workload.App) (*workload.Ap
 				}
 				loop, link := k/len(st.spec.Chain), k%len(st.spec.Chain)
 				if link == 0 && loop > 0 && st.spec.RewriteFraction > 0 {
-					e.touch(st, int64(float64(st.lines)*st.spec.RewriteFraction))
+					e.touch(&st.threadState, int64(float64(st.lines)*st.spec.RewriteFraction))
 				}
 				ai, ok := e.ex.AccIndex(st.spec.Chain[link])
 				if !ok {
 					return nil, fmt.Errorf("unknown accelerator %q", st.spec.Chain[link])
 				}
 				ctx := &esp.Context{}
-				e.sense(ctx, ai, st.spec.FootprintBytes, ths, ti, k)
+				scanSense(e, ctx, ai, st.spec.FootprintBytes, ths, ti, k)
 				var act soc.Action
 				if fineGrain {
 					act = ap.DecideAction(ctx)
@@ -128,7 +140,7 @@ func referenceRun(e *Estimator, pol esp.Policy, app *workload.App) (*workload.Ap
 		for ti := range ths {
 			st := &ths[ti]
 			if st.spec.ReadbackFraction > 0 {
-				e.touch(st, int64(float64(st.lines)*st.spec.ReadbackFraction))
+				e.touch(&st.threadState, int64(float64(st.lines)*st.spec.ReadbackFraction))
 			}
 			if st.time > float64(pr.Cycles) {
 				pr.Cycles = sim.Cycles(st.time)
@@ -145,11 +157,71 @@ func referenceRun(e *Estimator, pol esp.Policy, app *workload.App) (*workload.Ap
 	return res, nil
 }
 
-// recorder wraps a policy and copies every result it observes, in
-// decision order: the stream a learning policy trains on.
+// scanSense fills ctx with the decision context the tracker would
+// assemble, by scanning the phase's threads: the other live threads are
+// the active invocations, each at its most recent action's hot mode,
+// all sharing one partition.
+func scanSense(e *Estimator, ctx *esp.Context, ai int, footprint int64, ths []refThread, self, k int) {
+	cfg := e.ex.Config()
+	*ctx = esp.Context{
+		Acc:            &e.tiles[ai],
+		Available:      e.avail[ai],
+		FootprintBytes: footprint,
+		L2Bytes:        cfg.L2Bytes(),
+		LLCSliceBytes:  cfg.LLCSliceBytes(),
+		TotalLLCBytes:  cfg.TotalLLCBytes(),
+	}
+	var nonCoh, toLLC int
+	for ti := range ths {
+		if ti == self {
+			continue
+		}
+		st := &ths[ti]
+		// Live: already decided at least once and not past its last step
+		// at this decision point (threads after self decided step k−1).
+		lastDone := k
+		if ti > self {
+			lastDone = k - 1
+		}
+		if !st.started || lastDone >= st.steps {
+			continue
+		}
+		mode := st.last.Hot()
+		ctx.ActiveCount++
+		ctx.ActiveFootprintBytes += st.spec.FootprintBytes
+		switch mode {
+		case soc.NonCohDMA:
+			ctx.ActiveNonCoh++
+			nonCoh++
+		case soc.LLCCohDMA:
+			ctx.ActiveLLCCoh++
+			toLLC++
+		case soc.CohDMA:
+			ctx.ActiveCohDMA++
+			toLLC++
+		case soc.FullyCoh:
+			ctx.ActiveFullyCoh++
+			ctx.FullyCohActive++
+			toLLC++
+		}
+	}
+	ctx.NonCohPerTile = float64(nonCoh)
+	ctx.ToLLCPerTile = float64(toLLC)
+	ctx.TileFootprintBytes = float64(footprint + ctx.ActiveFootprintBytes)
+}
+
+// recorder wraps a policy and copies every context it senses and every
+// result it observes, in decision order: the streams a learning policy
+// decides and trains on.
 type recorder struct {
 	esp.Policy
-	seen []esp.Result
+	sensed []esp.Context
+	seen   []esp.Result
+}
+
+func (r *recorder) Decide(ctx *esp.Context) soc.Mode {
+	r.sensed = append(r.sensed, *ctx)
+	return r.Policy.Decide(ctx)
 }
 
 func (r *recorder) Observe(res *esp.Result) {
@@ -162,6 +234,7 @@ func (r *recorder) Observe(res *esp.Result) {
 type actionRecorder struct{ *recorder }
 
 func (r actionRecorder) DecideAction(ctx *esp.Context) soc.Action {
+	r.sensed = append(r.sensed, *ctx)
 	return r.Policy.(esp.ActionPolicy).DecideAction(ctx)
 }
 
@@ -175,76 +248,172 @@ func recording(pol esp.Policy) (esp.Policy, *recorder) {
 }
 
 // recordedRun runs pol through run under a recorder and returns the
-// result with the observed stream.
+// result with the recorded streams.
 func recordedRun(t *testing.T, run func(esp.Policy, *workload.App) (*workload.AppResult, error),
-	pol esp.Policy, app *workload.App) (*workload.AppResult, []esp.Result) {
+	pol esp.Policy, app *workload.App) (*workload.AppResult, *recorder) {
 	t.Helper()
 	wrapped, rec := recording(pol)
 	res, err := run(wrapped, app)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res, rec.seen
+	return res, rec
 }
 
 // compareResults pins got against want field by field: totals, every
-// phase's cycles and off-chip count, and every observed result in
-// decision order. got must carry no invocation records.
-func compareResults(t *testing.T, got, want *workload.AppResult, gotSeen, wantSeen []esp.Result) {
+// phase's cycles and off-chip count, and every sensed context and
+// observed result in decision order. got must carry no invocation
+// records.
+func compareResults(t *testing.T, got, want *workload.AppResult, gotRec, wantRec *recorder) {
 	t.Helper()
+	if err := diffResults(got, want, gotRec, wantRec); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// diffResults is compareResults' check, reporting the first difference
+// as an error so goroutines can use it.
+func diffResults(got, want *workload.AppResult, gotRec, wantRec *recorder) error {
 	if got.App != want.App || got.Policy != want.Policy || got.Cycles != want.Cycles || got.OffChip != want.OffChip {
-		t.Fatalf("totals: got (%p %s %d cycles %d off-chip), want (%p %s %d %d)",
+		return fmt.Errorf("totals: got (%p %s %d cycles %d off-chip), want (%p %s %d %d)",
 			got.App, got.Policy, got.Cycles, got.OffChip, want.App, want.Policy, want.Cycles, want.OffChip)
 	}
 	if len(got.Phases) != len(want.Phases) {
-		t.Fatalf("%d phases, want %d", len(got.Phases), len(want.Phases))
+		return fmt.Errorf("%d phases, want %d", len(got.Phases), len(want.Phases))
 	}
 	for pi := range want.Phases {
 		g, w := &got.Phases[pi], &want.Phases[pi]
 		if g.Name != w.Name || g.Cycles != w.Cycles || g.OffChip != w.OffChip {
-			t.Fatalf("phase %d: got (%s %d cycles %d off-chip), want (%s %d %d)",
+			return fmt.Errorf("phase %d: got (%s %d cycles %d off-chip), want (%s %d %d)",
 				pi, g.Name, g.Cycles, g.OffChip, w.Name, w.Cycles, w.OffChip)
 		}
 		if len(g.Invocations) != 0 {
-			t.Fatalf("phase %d: %d invocation records, want none", pi, len(g.Invocations))
+			return fmt.Errorf("phase %d: %d invocation records, want none", pi, len(g.Invocations))
 		}
 	}
-	if len(gotSeen) != len(wantSeen) || len(gotSeen) != got.App.Invocations() {
-		t.Fatalf("observed %d results, want %d (app has %d invocations)",
-			len(gotSeen), len(wantSeen), got.App.Invocations())
+	n := got.App.Invocations()
+	if len(gotRec.seen) != len(wantRec.seen) || len(gotRec.seen) != n ||
+		len(gotRec.sensed) != len(wantRec.sensed) || len(gotRec.sensed) != n {
+		return fmt.Errorf("sensed %d contexts and observed %d results, want %d and %d (app has %d invocations)",
+			len(gotRec.sensed), len(gotRec.seen), len(wantRec.sensed), len(wantRec.seen), n)
 	}
-	for i := range wantSeen {
-		if gotSeen[i] != wantSeen[i] {
-			t.Fatalf("observation %d: got %+v, want %+v", i, gotSeen[i], wantSeen[i])
+	for i := range wantRec.sensed {
+		if !reflect.DeepEqual(gotRec.sensed[i], wantRec.sensed[i]) {
+			return fmt.Errorf("context %d: got %+v, want %+v", i, gotRec.sensed[i], wantRec.sensed[i])
 		}
 	}
+	for i := range wantRec.seen {
+		if gotRec.seen[i] != wantRec.seen[i] {
+			return fmt.Errorf("observation %d: got %+v, want %+v", i, gotRec.seen[i], wantRec.seen[i])
+		}
+	}
+	return nil
+}
+
+// raggedApp returns a copy of app whose threads loop 1, 2, 3 or 4
+// times by index, so the threads of a phase run different step counts
+// and most finish while others are still deciding.
+func raggedApp(t *testing.T, app *workload.App) *workload.App {
+	t.Helper()
+	ragged := &workload.App{Name: app.Name + "-ragged", Phases: make([]workload.PhaseSpec, len(app.Phases))}
+	finishEarly := false
+	for pi, ph := range app.Phases {
+		ragged.Phases[pi] = workload.PhaseSpec{Name: ph.Name, Threads: append([]workload.ThreadSpec(nil), ph.Threads...)}
+		ths := ragged.Phases[pi].Threads
+		for ti := range ths {
+			ths[ti].Loops = 1 + ti%4
+			finishEarly = finishEarly || ths[ti].Invocations() < ths[0].Invocations()
+		}
+	}
+	if !finishEarly {
+		t.Fatal("no thread of the ragged app finishes before its phase's first thread")
+	}
+	return ragged
 }
 
 // TestEstimatorRunMatchesReference: Run reproduces the reference replay
-// for a fixed policy and, run after run, for a learning agent trained
+// for fixed policies and, run after run, for learning agents trained
 // through it (the agent's observations feed its next decisions, so any
-// divergence in an observation compounds). Run keeps no invocation
-// records, so the comparison is of the observation streams, which
-// carry every field the records did, and of the phase totals.
+// divergence compounds), with and without the fine-grain action space.
+// Run keeps no invocation records, so the comparison is of the sensed
+// contexts, of the observation streams, which carry every field the
+// records did, and of the phase totals. The ragged app's threads finish
+// mid-phase, so live-thread sensing is checked as threads leave; it
+// replays again after a second app, so cached plans are checked too.
 func TestEstimatorRunMatchesReference(t *testing.T) {
 	est := testEstimator(t)
-	app := testApp(t, est, 3)
+	ragged := raggedApp(t, testApp(t, est, 3))
+	apps := []*workload.App{ragged, testApp(t, est, 4), ragged}
 	reference := func(pol esp.Policy, app *workload.App) (*workload.AppResult, error) {
 		return referenceRun(est, pol, app)
 	}
 	for _, mode := range []soc.Mode{soc.NonCohDMA, soc.FullyCoh} {
-		got, gotSeen := recordedRun(t, est.Run, policy.NewFixed(mode), app)
-		want, wantSeen := recordedRun(t, reference, policy.NewFixed(mode), app)
-		compareResults(t, got, want, gotSeen, wantSeen)
+		for _, app := range apps {
+			got, gotRec := recordedRun(t, est.Run, policy.NewFixed(mode), app)
+			want, wantRec := recordedRun(t, reference, policy.NewFixed(mode), app)
+			compareResults(t, got, want, gotRec, wantRec)
+		}
 	}
 	for _, fineGrain := range []bool{false, true} {
 		a, b := testAgent(t, fineGrain), testAgent(t, fineGrain)
-		for it := 0; it < 4; it++ {
-			got, gotSeen := recordedRun(t, est.Run, a, app)
-			want, wantSeen := recordedRun(t, reference, b, app)
-			compareResults(t, got, want, gotSeen, wantSeen)
+		for it := 0; it < 2; it++ {
+			for _, app := range apps {
+				got, gotRec := recordedRun(t, est.Run, a, app)
+				want, wantRec := recordedRun(t, reference, b, app)
+				compareResults(t, got, want, gotRec, wantRec)
+			}
 			a.EndIteration()
 			b.EndIteration()
+		}
+	}
+}
+
+// TestEstimatorConcurrentReplay: two goroutines replaying one app on one
+// fresh Estimator — the learners experiment's pattern, where trials
+// share a scenario's estimator — race to plan it, and each reproduces
+// the reference replay (which plans nothing). Meaningful under -race.
+func TestEstimatorConcurrentReplay(t *testing.T) {
+	est := testEstimator(t)
+	app := testApp(t, est, 3)
+	const iters = 3
+	trial := func(run func(esp.Policy, *workload.App) (*workload.AppResult, error)) (*workload.AppResult, *recorder, error) {
+		agent := testAgent(t, true)
+		for it := 0; it < iters; it++ {
+			if _, err := run(agent, app); err != nil {
+				return nil, nil, err
+			}
+			agent.EndIteration()
+		}
+		wrapped, rec := recording(agent)
+		res, err := run(wrapped, app)
+		return res, rec, err
+	}
+	want, wantRec, err := trial(func(pol esp.Policy, app *workload.App) (*workload.AppResult, error) {
+		return referenceRun(est, pol, app)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	errs := make([]error, 2)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			got, gotRec, err := trial(est.Run)
+			if err == nil {
+				err = diffResults(got, want, gotRec, wantRec)
+			}
+			errs[g] = err
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for g, err := range errs {
+		if err != nil {
+			t.Errorf("goroutine %d: %v", g, err)
 		}
 	}
 }
@@ -285,9 +454,9 @@ func TestEstimatorTrainMatchesRun(t *testing.T) {
 		}
 		viaRun.Freeze()
 		viaTrain.Freeze()
-		got, gotSeen := recordedRun(t, est.Run, viaTrain, test)
-		want, wantSeen := recordedRun(t, est.Run, viaRun, test)
-		compareResults(t, got, want, gotSeen, wantSeen)
+		got, gotRec := recordedRun(t, est.Run, viaTrain, test)
+		want, wantRec := recordedRun(t, est.Run, viaRun, test)
+		compareResults(t, got, want, gotRec, wantRec)
 	}
 }
 

@@ -230,8 +230,14 @@ func shapeFor(a *soc.AccInstance, footprintBytes int64) planShape {
 // footprintBytes, with threads software threads concurrently active in
 // the phase. It never allocates.
 func (e *Extractor) Features(acc int, act soc.Action, footprintBytes int64, threads int, x *FeatureVec) {
-	inst := &e.cfg.Accs[acc]
-	s := shapeFor(inst, footprintBytes)
+	s := shapeFor(&e.cfg.Accs[acc], footprintBytes)
+	e.shapedFeatures(acc, act, footprintBytes, threads, &s, x)
+}
+
+// shapedFeatures is Features over the plan shape of (acc,
+// footprintBytes), which does not depend on the action: a caller
+// featurizing one invocation under several actions computes it once.
+func (e *Extractor) shapedFeatures(acc int, act soc.Action, footprintBytes int64, threads int, s *planShape, x *FeatureVec) {
 	transferred := float64(s.readLines*s.passes + s.writeLines)
 
 	for i := range x {

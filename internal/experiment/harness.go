@@ -3,6 +3,7 @@ package experiment
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync"
 
 	"cohmeleon/internal/core"
@@ -343,11 +344,33 @@ func policySet(cfg *soc.Config, opt Options, weights core.RewardWeights) ([]esp.
 }
 
 // geoNormalized computes the geometric mean over phases of a result's
-// exec and mem series normalized to a baseline result.
+// exec and mem series normalized to a baseline result. It is
+// stats.GeoMean(stats.Normalize(...)) of both series, bit for bit — the
+// same stats.Ratio floor, Epsilon clamp and log-sum order — in one pass
+// over the phases and without the intermediate slices.
 func geoNormalized(res, base *workload.AppResult) (exec, mem float64) {
-	exec = stats.GeoMean(stats.Normalize(res.ExecSeries(), base.ExecSeries()))
-	mem = stats.GeoMean(stats.Normalize(res.MemSeries(), base.MemSeries()))
-	return exec, mem
+	if len(res.Phases) != len(base.Phases) {
+		panic("experiment: geoNormalized phase count mismatch")
+	}
+	if len(res.Phases) == 0 {
+		return 0, 0
+	}
+	var execLog, memLog float64
+	for i := range res.Phases {
+		r, b := &res.Phases[i], &base.Phases[i]
+		execLog += clampedLog(stats.Ratio(float64(r.Cycles), float64(b.Cycles)))
+		memLog += clampedLog(stats.Ratio(float64(r.OffChip), float64(b.OffChip)))
+	}
+	n := float64(len(res.Phases))
+	return math.Exp(execLog / n), math.Exp(memLog / n)
+}
+
+// clampedLog is one term of stats.GeoMean's log sum.
+func clampedLog(x float64) float64 {
+	if x < stats.Epsilon {
+		x = stats.Epsilon
+	}
+	return math.Log(x)
 }
 
 // sizeClassOf buckets an invocation result for Figure 7.

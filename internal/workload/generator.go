@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"strconv"
 
 	"cohmeleon/internal/sim"
 	"cohmeleon/internal/soc"
@@ -152,18 +153,24 @@ func Generate(cfg *soc.Config, g GenConfig, seed uint64) (*App, error) {
 	g = g.withDefaults()
 	rng := sim.NewRNG(seed ^ 0x10ad5eed)
 	app := &App{Name: fmt.Sprintf("%s-gen-%d", cfg.Name, seed)}
-	for pi := 0; app.Invocations() < g.MinInvocations && pi < 64; pi++ {
+	// Phases collect on the stack, up to the generator's cap of 64, and
+	// are copied out once at their final count.
+	var phases [64]PhaseSpec
+	n, invocations := 0, 0
+	for ; invocations < g.MinInvocations && n < len(phases); n++ {
 		threads := 1 + rng.Intn(g.MaxThreads)
-		phase := PhaseSpec{Name: fmt.Sprintf("phase-%d", pi), Threads: make([]ThreadSpec, 0, threads)}
+		phase := PhaseSpec{Name: "phase-" + strconv.Itoa(n), Threads: make([]ThreadSpec, 0, threads)}
 		for ti := 0; ti < threads; ti++ {
 			class := g.Classes[rng.Intn(len(g.Classes))]
-			ts, err := randomThread(fmt.Sprintf("t%d", ti), cfg, g, class, rng)
+			ts, err := randomThread("t"+strconv.Itoa(ti), cfg, g, class, rng)
 			if err != nil {
 				return nil, err
 			}
+			invocations += ts.Invocations()
 			phase.Threads = append(phase.Threads, ts)
 		}
-		app.Phases = append(app.Phases, phase)
+		phases[n] = phase
 	}
+	app.Phases = append([]PhaseSpec(nil), phases[:n]...)
 	return app, nil
 }
