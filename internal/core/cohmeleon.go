@@ -123,7 +123,7 @@ type Cohmeleon struct {
 
 	iter    int
 	frozen  bool
-	pending map[int]pendingDecision // per accelerator tile ID
+	pending []pendingDecision // indexed by accelerator tile ID, grown on demand
 
 	// actScratch is the reused offered-action list (one decision at a
 	// time per agent; Decide never yields).
@@ -133,9 +133,12 @@ type Cohmeleon struct {
 	decisions [soc.NumActions]int64
 }
 
+// pendingDecision is an accelerator's decision awaiting its result; ok
+// marks a live entry.
 type pendingDecision struct {
 	state  learn.State
 	action soc.Action
+	ok     bool
 }
 
 // New creates an agent from the configuration.
@@ -173,7 +176,6 @@ func New(cfg Config) (*Cohmeleon, error) {
 		sched:      sched,
 		rewards:    rewards,
 		rng:        sim.NewRNG(cfg.Seed ^ 0xc0de1e0f),
-		pending:    make(map[int]pendingDecision),
 		actScratch: make([]soc.Action, 0, soc.NumActions),
 	}
 	c.rewards.UseTrueDDR(cfg.TrueDDRReward)
@@ -241,7 +243,11 @@ func (c *Cohmeleon) DecideAction(ctx *esp.Context) soc.Action {
 	} else {
 		act = c.alg.Decide(c.rng, s, avail, c.sched.Epsilon(c.iter))
 	}
-	c.pending[ctx.Acc.ID] = pendingDecision{state: s, action: act}
+	id := ctx.Acc.ID
+	if id >= len(c.pending) {
+		c.pending = append(c.pending, make([]pendingDecision, id+1-len(c.pending))...)
+	}
+	c.pending[id] = pendingDecision{state: s, action: act, ok: true}
 	c.decisions[act]++
 	return act
 }
@@ -256,15 +262,18 @@ func (c *Cohmeleon) Decide(ctx *esp.Context) soc.Mode {
 // Observe implements esp.Policy: compute the reward and hand it to the
 // algorithm for the recorded (state, action).
 func (c *Cohmeleon) Observe(res *esp.Result) {
-	pd, ok := c.pending[res.Acc.ID]
-	if !ok || pd.action != res.Action {
+	var pd pendingDecision
+	if id := res.Acc.ID; id < len(c.pending) {
+		pd = c.pending[id]
+	}
+	if !pd.ok || pd.action != res.Action {
 		// Result from a forced-mode invocation or an unmatched decision:
 		// nothing to update, but history still accumulates so future
 		// rewards are normalized against everything the system has seen.
 		c.rewards.Reward(res)
 		return
 	}
-	delete(c.pending, res.Acc.ID)
+	c.pending[res.Acc.ID].ok = false
 	reward := c.rewards.Reward(res)
 	if alpha := c.Alpha(); alpha > 0 {
 		c.alg.Update(c.rng, pd.state, pd.action, reward, alpha)

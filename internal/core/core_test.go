@@ -407,6 +407,60 @@ func TestAgentObserveUnmatchedResultIsSafe(t *testing.T) {
 	if c.Table().TotalVisits() != 0 {
 		t.Fatal("unmatched observe updated the table")
 	}
+
+	// After a decision on tile 0, a result for an ID beyond every
+	// decided one is still safe, and a result whose action differs from
+	// the pending one leaves the decision in place: the matching result
+	// that follows updates once, and a repeat of it finds nothing.
+	ctx := ctxWith(0, 0, 0, 0, 16<<10)
+	act := c.DecideAction(ctx)
+	c.Observe(res)
+	if c.Table().TotalVisits() != 0 {
+		t.Fatal("a result beyond every decided ID updated the table")
+	}
+	other := soc.ModeAction((act.Hot() + 1) % soc.NumModes)
+	result := func(a soc.Action) *esp.Result {
+		return &esp.Result{
+			Acc: ctx.Acc, Mode: a.Hot(), Action: a, FootprintBytes: ctx.FootprintBytes,
+			ExecCycles: 100, ActiveCycles: 90, CommCycles: 10,
+		}
+	}
+	c.Observe(result(other))
+	if c.Table().TotalVisits() != 0 {
+		t.Fatal("a mismatched action updated the table")
+	}
+	c.Observe(result(act))
+	if got := c.Table().TotalVisits(); got != 1 {
+		t.Fatalf("matching result after a mismatched one: %d updates, want 1", got)
+	}
+	c.Observe(result(act))
+	if got := c.Table().TotalVisits(); got != 1 {
+		t.Fatalf("a second result for one decision: %d updates, want 1", got)
+	}
+}
+
+// TestRewardResetClearsEveryHistory: after Reset, every accelerator's
+// next result is its first again (maximal reward), however far apart
+// the IDs that had history were.
+func TestRewardResetClearsEveryHistory(t *testing.T) {
+	rc := mustRewards(t, RewardWeights{Exec: 1, Comm: 0, Mem: 0})
+	mk := func(id int, exec int64) *esp.Result {
+		return &esp.Result{Acc: &soc.AccTile{ID: id}, FootprintBytes: 1000,
+			ExecCycles: sim64(exec), ActiveCycles: 100, CommCycles: 10}
+	}
+	ids := []int{0, 3, 17}
+	for _, id := range ids {
+		rc.Reward(mk(id, 100))
+		if r := rc.Reward(mk(id, 200)); math.Abs(r-0.5) > 1e-12 {
+			t.Fatalf("ID %d before Reset: reward %g, want 0.5", id, r)
+		}
+	}
+	rc.Reset()
+	for _, id := range append(ids, 5) {
+		if r := rc.Reward(mk(id, 200)); math.Abs(r-1) > 1e-12 {
+			t.Fatalf("ID %d after Reset: reward %g, want 1 (no history)", id, r)
+		}
+	}
 }
 
 func TestAgentDecisionCounters(t *testing.T) {
@@ -495,7 +549,7 @@ func TestDefaultStackMatchesMonolithicReference(t *testing.T) {
 				refTable.Update(s, want, rewardOf(i, j), alpha)
 				agent.Algorithm().Update(nil, s, soc.ModeAction(got), rewardOf(i, j), agent.Alpha())
 			}
-			delete(agent.pending, ctx.Acc.ID)
+			agent.pending[ctx.Acc.ID].ok = false
 		}
 		agent.EndIteration()
 	}

@@ -51,7 +51,8 @@ func (w RewardWeights) String() string {
 
 // accHistory keeps the per-accelerator running extrema the reward
 // components are normalized against (min over j ≤ i in the paper's
-// formulas, including the current invocation).
+// formulas, including the current invocation); seen marks an
+// accelerator with history.
 type accHistory struct {
 	minExec float64
 	minComm float64
@@ -65,7 +66,7 @@ type accHistory struct {
 // persists across training iterations, as on the real system.
 type RewardComputer struct {
 	weights RewardWeights
-	hist    map[int]*accHistory // key: AccTile.ID
+	hist    []accHistory // indexed by AccTile.ID, grown on demand
 	useTrue bool
 }
 
@@ -77,7 +78,7 @@ func NewRewardComputer(w RewardWeights) (*RewardComputer, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &RewardComputer{weights: n, hist: make(map[int]*accHistory)}, nil
+	return &RewardComputer{weights: n}, nil
 }
 
 // UseTrueDDR switches the mem component from the paper's footprint-
@@ -91,16 +92,18 @@ func (rc *RewardComputer) UseTrueDDR(on bool) { rc.useTrue = on }
 // invocation, per the paper's min over j ≤ i).
 func (rc *RewardComputer) Components(res *esp.Result) (rExec, rComm, rMem float64) {
 	k := res.Acc.ID
-	h := rc.hist[k]
+	if k >= len(rc.hist) {
+		rc.hist = append(rc.hist, make([]accHistory, k+1-len(rc.hist))...)
+	}
+	h := &rc.hist[k]
 	exec := res.ScaledExec()
 	comm := res.CommRatio()
 	mem := res.ScaledMem()
 	if rc.useTrue {
 		mem = float64(res.OffChipTrue) / float64(res.FootprintBytes)
 	}
-	if h == nil {
-		h = &accHistory{minExec: exec, minComm: comm, minMem: mem, maxMem: mem, seen: true}
-		rc.hist[k] = h
+	if !h.seen {
+		*h = accHistory{minExec: exec, minComm: comm, minMem: mem, maxMem: mem, seen: true}
 	} else {
 		if exec < h.minExec {
 			h.minExec = exec
@@ -145,4 +148,7 @@ func (rc *RewardComputer) Reward(res *esp.Result) float64 {
 }
 
 // Reset clears accumulated history (a fresh deployment).
-func (rc *RewardComputer) Reset() { rc.hist = make(map[int]*accHistory) }
+func (rc *RewardComputer) Reset() {
+	clear(rc.hist)
+	rc.hist = rc.hist[:0]
+}

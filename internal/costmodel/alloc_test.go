@@ -100,7 +100,9 @@ func TestZeroAllocPlan(t *testing.T) {
 // invocations, the same phases and threads) cost the same number of
 // allocations and the same bytes, for a fixed policy and for a learning
 // agent. The byte check sees what the count cannot: one allocation
-// whose size grows with the app.
+// whose size grows with the app. A fixed policy's Run, which takes the
+// static branch, allocates only its result (maxStaticRunAllocs): its
+// per-accelerator decisions reuse the replay's scratch context.
 func TestZeroAllocPerInvocationReplay(t *testing.T) {
 	est := testEstimator(t)
 	app := testApp(t, est, 3)
@@ -137,6 +139,9 @@ func TestZeroAllocPerInvocationReplay(t *testing.T) {
 	}
 	for _, c := range cases {
 		base := testing.AllocsPerRun(20, func() { c.run(app) })
+		if c.name == "Run/fixed" && base > maxStaticRunAllocs {
+			t.Errorf("%s: %.1f allocs per run, want at most %d", c.name, base, maxStaticRunAllocs)
+		}
 		doubled := testing.AllocsPerRun(20, func() { c.run(twin) })
 		if doubled > base {
 			t.Errorf("%s: %.1f allocs for %d invocations, %.1f for %d — allocations grow with invocations",
@@ -150,6 +155,10 @@ func TestZeroAllocPerInvocationReplay(t *testing.T) {
 		}
 	}
 }
+
+// maxStaticRunAllocs is what a fixed policy's Run allocated before the
+// static branch: the AppResult, its phase slice and the policy's name.
+const maxStaticRunAllocs = 3
 
 // byteSlack absorbs the runtime's own occasional small allocations in
 // a byte-count comparison (a record per invocation would add hundreds

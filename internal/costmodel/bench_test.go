@@ -3,6 +3,7 @@ package costmodel
 import (
 	"testing"
 
+	"cohmeleon/internal/esp"
 	"cohmeleon/internal/policy"
 	"cohmeleon/internal/soc"
 )
@@ -33,20 +34,40 @@ func BenchmarkCostModelEstimate(b *testing.B) {
 }
 
 // BenchmarkEstimatorRun measures one analytical replay of a ~300-
-// invocation generated app on SoC6 under a fixed policy, returning the
-// phase totals (the screened roster's evaluation runs). Its allocs/op
-// and B/op are per run: TestZeroAllocPerInvocationReplay enforces that
-// they do not grow with the invocation count.
+// invocation generated app on SoC6 that returns the phase totals, as
+// the screened roster's evaluation runs do: "fixed" under a fixed
+// policy (the static branch: one decision per accelerator, then planned
+// estimates summed) and "agent" under a frozen agent trained on the app
+// for four iterations (sensing, deciding and observing every
+// invocation). Its allocs/op and B/op are per run:
+// TestZeroAllocPerInvocationReplay enforces that they do not grow with
+// the invocation count.
 func BenchmarkEstimatorRun(b *testing.B) {
 	est := testEstimator(b)
 	app := testApp(b, est, 1000)
-	pol := policy.NewFixed(soc.CohDMA)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := est.Run(pol, app); err != nil {
+	agent := testAgent(b, false)
+	for it := 0; it < 4; it++ {
+		if err := est.Train(agent, app); err != nil {
 			b.Fatal(err)
 		}
+		agent.EndIteration()
+	}
+	agent.Freeze()
+	for _, c := range []struct {
+		name string
+		pol  esp.Policy
+	}{
+		{"fixed", policy.NewFixed(soc.CohDMA)},
+		{"agent", agent},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := est.Run(c.pol, app); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

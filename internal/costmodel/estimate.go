@@ -82,11 +82,13 @@ type linkPlan struct {
 }
 
 // scratch is a replay's working space: the sensed context, the
-// observed result and the thread states.
+// observed result, the thread states and a static policy's mode per
+// accelerator.
 type scratch struct {
-	ctx esp.Context
-	r   esp.Result
-	ths []threadState
+	ctx   esp.Context
+	r     esp.Result
+	ths   []threadState
+	modes []soc.Mode
 }
 
 // begin returns app's plan, compiling it on the app's first replay, and
@@ -219,14 +221,19 @@ func (e *Estimator) Train(pol esp.Policy, app *workload.App) error {
 // appends each phase's totals to res unless res is nil. Per invocation
 // it senses from the phase's live-thread tally, asks the policy, and
 // looks the estimate up in the app's plan; only split actions (the
-// fine-grain action space) evaluate the model in the loop. One
-// esp.Result is reused for every observation, which is safe under the
-// esp.Policy contract (policies retain neither the context nor the
-// result past the call), and for the same reason the scratch space —
-// the context, the result and the thread states — passes from one
-// replay to the next. Concurrent replays on one Estimator never share
-// it (only one holds the spare), and a replay's allocations do not
-// grow with its invocation count.
+// fine-grain action space) evaluate the model in the loop. A static
+// policy (esp.StaticPolicy) decides once per accelerator before the
+// first phase, and its invocations only add their planned estimates:
+// it reads no sensed status and learns nothing, so skipping sense,
+// Decide, result and Observe changes no total, and each thread's sums
+// take the same terms in the same order. One esp.Result is reused for
+// every observation, which is safe under the esp.Policy contract
+// (policies retain neither the context nor the result past the call),
+// and for the same reason the scratch space — the context, the result,
+// the thread states and the static modes — passes from one replay to
+// the next. Concurrent replays on one Estimator never share it (only
+// one holds the spare), and a replay's allocations do not grow with
+// its invocation count.
 func (e *Estimator) replay(pol esp.Policy, app *workload.App, res *workload.AppResult) error {
 	links, s, err := e.begin(app)
 	if err != nil {
@@ -234,7 +241,15 @@ func (e *Estimator) replay(pol esp.Policy, app *workload.App, res *workload.AppR
 	}
 	defer e.end(s)
 	ap, fineGrain := pol.(esp.ActionPolicy)
+	sp, static := pol.(esp.StaticPolicy)
+	static = static && !fineGrain && sp.Static()
 	ctx, r := &s.ctx, &s.r
+	overhead := float64(pol.OverheadCycles())
+	if static {
+		if err := e.decideStatic(pol, s); err != nil {
+			return err
+		}
+	}
 	maxThreads := 0
 	for pi := range app.Phases {
 		maxThreads = max(maxThreads, len(app.Phases[pi].Threads))
@@ -279,7 +294,7 @@ func (e *Estimator) replay(pol esp.Policy, app *workload.App, res *workload.AppR
 			for ti := range ths {
 				st := &ths[ti]
 				if k >= st.steps {
-					if k == st.steps {
+					if k == st.steps && !static {
 						live.remove(st)
 					}
 					continue
@@ -292,6 +307,12 @@ func (e *Estimator) replay(pol esp.Policy, app *workload.App, res *workload.AppR
 
 				lp := &st.links[link]
 				ai := int(lp.acc)
+				if static {
+					m := s.modes[ai]
+					st.time += lp.exec[m] + overhead
+					st.offchip += lp.mem[m]
+					continue
+				}
 				if k > 0 {
 					live.remove(st)
 				}
@@ -314,9 +335,9 @@ func (e *Estimator) replay(pol esp.Policy, app *workload.App, res *workload.AppR
 				} else {
 					estExec, estMem = lp.exec[act.Hot()], lp.mem[act.Hot()]
 				}
-				estExec += float64(pol.OverheadCycles())
+				estExec += overhead
 
-				e.result(r, ai, act, st.spec.FootprintBytes, estExec, estMem, pol)
+				e.result(r, ai, act, st.spec.FootprintBytes, estExec, estMem, overhead)
 				pol.Observe(r)
 				st.mode = act.Hot()
 				live.add(st)
@@ -343,6 +364,28 @@ func (e *Estimator) replay(pol esp.Policy, app *workload.App, res *workload.AppR
 			res.Cycles += pr.Cycles
 			res.OffChip += pr.OffChip
 		}
+	}
+	return nil
+}
+
+// decideStatic asks a static policy for every accelerator's mode, in
+// config order, into s.modes. The context is sensed as for an
+// invocation with no other live thread; a static policy reads only its
+// accelerator and available modes.
+func (e *Estimator) decideStatic(pol esp.Policy, s *scratch) error {
+	if cap(s.modes) < len(e.tiles) {
+		s.modes = make([]soc.Mode, len(e.tiles))
+	}
+	s.modes = s.modes[:len(e.tiles)]
+	var none tally
+	for ai := range e.tiles {
+		e.sense(&s.ctx, ai, 0, &none)
+		m := pol.Decide(&s.ctx)
+		if !s.ctx.Allows(m) {
+			return fmt.Errorf("costmodel: policy %s chose unavailable action %s on %s",
+				pol.Name(), soc.ModeAction(m), e.tiles[ai].InstName)
+		}
+		s.modes[ai] = m
 	}
 	return nil
 }
@@ -388,13 +431,13 @@ func (e *Estimator) sense(ctx *esp.Context, ai int, footprint int64, live *tally
 // result fills r with the esp.Result of an estimated invocation. The
 // hardware-counter split is approximate: busy time is the estimate
 // minus the fixed software costs the simulator charges outside the
-// accelerator (driver, TLB load, interrupt, policy overhead), and
+// accelerator (driver, TLB load, interrupt, the policy's overhead), and
 // communication is attributed half of busy time.
-func (e *Estimator) result(r *esp.Result, ai int, act soc.Action, footprint int64, estExec, estMem float64, pol esp.Policy) {
+func (e *Estimator) result(r *esp.Result, ai int, act soc.Action, footprint int64, estExec, estMem, overhead float64) {
 	pages := (footprint + mem.PageBytes - 1) / mem.PageBytes
 	software := float64(e.pms.DriverCycles+e.pms.IRQCycles) +
 		float64(pages)*float64(e.pms.TLBPerPageCycles) +
-		float64(pol.OverheadCycles())
+		overhead
 	active := estExec - software
 	if active < 1 {
 		active = 1

@@ -129,7 +129,7 @@ func referenceRun(e *Estimator, pol esp.Policy, app *workload.App) (*workload.Ap
 				estExec, estMem := e.m.Estimate(&x)
 				estExec += float64(pol.OverheadCycles())
 				r := &esp.Result{}
-				e.result(r, ai, act, st.spec.FootprintBytes, estExec, estMem, pol)
+				e.result(r, ai, act, st.spec.FootprintBytes, estExec, estMem, float64(pol.OverheadCycles()))
 				pol.Observe(r)
 				st.last = act
 				st.started = true
@@ -274,22 +274,8 @@ func compareResults(t *testing.T, got, want *workload.AppResult, gotRec, wantRec
 // diffResults is compareResults' check, reporting the first difference
 // as an error so goroutines can use it.
 func diffResults(got, want *workload.AppResult, gotRec, wantRec *recorder) error {
-	if got.App != want.App || got.Policy != want.Policy || got.Cycles != want.Cycles || got.OffChip != want.OffChip {
-		return fmt.Errorf("totals: got (%p %s %d cycles %d off-chip), want (%p %s %d %d)",
-			got.App, got.Policy, got.Cycles, got.OffChip, want.App, want.Policy, want.Cycles, want.OffChip)
-	}
-	if len(got.Phases) != len(want.Phases) {
-		return fmt.Errorf("%d phases, want %d", len(got.Phases), len(want.Phases))
-	}
-	for pi := range want.Phases {
-		g, w := &got.Phases[pi], &want.Phases[pi]
-		if g.Name != w.Name || g.Cycles != w.Cycles || g.OffChip != w.OffChip {
-			return fmt.Errorf("phase %d: got (%s %d cycles %d off-chip), want (%s %d %d)",
-				pi, g.Name, g.Cycles, g.OffChip, w.Name, w.Cycles, w.OffChip)
-		}
-		if len(g.Invocations) != 0 {
-			return fmt.Errorf("phase %d: %d invocation records, want none", pi, len(g.Invocations))
-		}
+	if err := diffTotals(got, want); err != nil {
+		return err
 	}
 	n := got.App.Invocations()
 	if len(gotRec.seen) != len(wantRec.seen) || len(gotRec.seen) != n ||
@@ -305,6 +291,29 @@ func diffResults(got, want *workload.AppResult, gotRec, wantRec *recorder) error
 	for i := range wantRec.seen {
 		if gotRec.seen[i] != wantRec.seen[i] {
 			return fmt.Errorf("observation %d: got %+v, want %+v", i, gotRec.seen[i], wantRec.seen[i])
+		}
+	}
+	return nil
+}
+
+// diffTotals reports the first difference in the app and phase totals;
+// got must carry no invocation records.
+func diffTotals(got, want *workload.AppResult) error {
+	if got.App != want.App || got.Policy != want.Policy || got.Cycles != want.Cycles || got.OffChip != want.OffChip {
+		return fmt.Errorf("totals: got (%p %s %d cycles %d off-chip), want (%p %s %d %d)",
+			got.App, got.Policy, got.Cycles, got.OffChip, want.App, want.Policy, want.Cycles, want.OffChip)
+	}
+	if len(got.Phases) != len(want.Phases) {
+		return fmt.Errorf("%d phases, want %d", len(got.Phases), len(want.Phases))
+	}
+	for pi := range want.Phases {
+		g, w := &got.Phases[pi], &want.Phases[pi]
+		if g.Name != w.Name || g.Cycles != w.Cycles || g.OffChip != w.OffChip {
+			return fmt.Errorf("phase %d: got (%s %d cycles %d off-chip), want (%s %d %d)",
+				pi, g.Name, g.Cycles, g.OffChip, w.Name, w.Cycles, w.OffChip)
+		}
+		if len(g.Invocations) != 0 {
+			return fmt.Errorf("phase %d: %d invocation records, want none", pi, len(g.Invocations))
 		}
 	}
 	return nil

@@ -50,6 +50,24 @@ type ActionPolicy interface {
 	DecideAction(ctx *Context) soc.Action
 }
 
+// StaticPolicy is the optional marker of a design-time policy: one
+// whose Decide reads only ctx.Acc and ctx.Available — never the sensed
+// status, the footprint or anything earlier invocations taught it — and
+// whose Observe ignores its argument. Its choice for an accelerator is
+// therefore the same at every invocation, so a caller may decide once
+// per accelerator and reuse the mode, skipping sensing, the later
+// Decide calls and Observe altogether: the analytical replay
+// (costmodel.Estimator) does, and the simulator's API ignores the
+// marker. Such a caller still requires every decided mode to be
+// available. The marker covers Decide only: an ActionPolicy that
+// carries it is still asked per invocation.
+type StaticPolicy interface {
+	Policy
+	// Static reports whether the policy keeps the contract above; a
+	// caller treats a policy that returns false like any other.
+	Static() bool
+}
+
 // Context is the sensed snapshot handed to Decide: what the lightweight
 // software layer can know about the invocation and the SoC status. All
 // footprint quantities are bytes.

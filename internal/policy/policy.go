@@ -60,6 +60,10 @@ func (f *Fixed) Observe(*esp.Result) {}
 // OverheadCycles implements esp.Policy.
 func (f *Fixed) OverheadCycles() sim.Cycles { return FixedOverheadCycles }
 
+// Static implements esp.StaticPolicy: Decide clamps the one mode to
+// the tile's available modes and reads nothing else.
+func (f *Fixed) Static() bool { return true }
+
 // MemoKey marks Fixed as memoizable: its decisions are a pure function
 // of the construction mode, and its Observe is stateless, so an app run
 // under it is a pure function of (SoC config, mode, app, seed). The
@@ -108,6 +112,10 @@ func (f *FixedHeterogeneous) Observe(*esp.Result) {}
 
 // OverheadCycles implements esp.Policy.
 func (f *FixedHeterogeneous) OverheadCycles() sim.Cycles { return HeteroOverheadCycles }
+
+// Static implements esp.StaticPolicy: Decide reads only the tile's
+// spec name and available modes.
+func (f *FixedHeterogeneous) Static() bool { return true }
 
 // String describes the assignment (for reports).
 func (f *FixedHeterogeneous) String() string {
