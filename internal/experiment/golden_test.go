@@ -4,7 +4,12 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+
+	"cohmeleon/internal/core"
+	"cohmeleon/internal/soc"
+	"cohmeleon/internal/workload"
 )
 
 // Golden byte-identity regression tests for the learner refactor: the
@@ -116,5 +121,57 @@ func TestGoldenNonFullFidelity(t *testing.T) {
 				t.Errorf("%s report at fidelity=%s drifted from %s\n%s", tc.exp, tc.fid, name, diffAt(got, want))
 			}
 		})
+	}
+}
+
+// TestGoldenFineGrain pins the split-action path end to end: Figure 7
+// with the fine-grain action space at Tiny (report and decision
+// counts), then the trained agent's test run per phase (cycles and
+// off-chip lines) and how many of its invocations took a hot/cold
+// split action. Nothing else runs split invocations through the
+// simulator, so this is the byte-identity gate for that path.
+func TestGoldenFineGrain(t *testing.T) {
+	opt := Tiny()
+	opt.FineGrain = true
+	res, err := Figure7(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	b.WriteString(res.Render())
+	for _, row := range res.Rows {
+		fmt.Fprintf(&b, "%s %s %v\n", row.Policy, row.Size, row.Decision)
+	}
+
+	// The agent's test run, built exactly as Figure7 builds it.
+	cfg := withProtocol(soc.SoC0(soc.TrafficMixed, opt.Seed), opt)
+	test, err := workload.Generate(cfg, workload.GenConfig{MinInvocations: opt.MinInvocations}, opt.Seed+2000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	policies, err := policySet(cfg, opt, core.DefaultWeights())
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, err := testPolicy(simulator{opt.ctx(), cfg}, policies[7], test, opt.Seed+3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var split, total int
+	for _, ph := range run.Phases {
+		fmt.Fprintf(&b, "phase %s: %d cycles, %d off-chip lines\n", ph.Name, ph.Cycles, ph.OffChip)
+		for _, inv := range ph.Invocations {
+			total++
+			if inv.Action.IsSplit() {
+				split++
+			}
+		}
+	}
+	fmt.Fprintf(&b, "split invocations: %d of %d\n", split, total)
+	if split == 0 {
+		t.Fatalf("the fine-grain test run took no split action (%d invocations)", total)
+	}
+	if got, want := b.String(), mustGolden(t, "golden_finegrain_tiny.txt"); got != want {
+		t.Errorf("fine-grain Figure 7 and test run drifted\n%s", diffAt(got, want))
 	}
 }
