@@ -187,7 +187,7 @@ func BenchmarkSweepScreening(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	st := experiment.GetFidelityStats()
+	st := experiment.Snapshot().Fidelity
 	if st.ScreenedCells == 0 || st.EscalatedCells != 0 {
 		b.Fatalf("screened %d cells, escalated %d; want >0 and 0", st.ScreenedCells, st.EscalatedCells)
 	}
@@ -217,7 +217,7 @@ func BenchmarkSweepCached(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	st := experiment.GetRunCacheStats()
+	st := experiment.Snapshot().RunCache
 	if st.Hits == 0 {
 		b.Fatal("warm sweep served no cache hits")
 	}

@@ -310,9 +310,7 @@ func runExperiments(args []string) error {
 		out = io.MultiWriter(os.Stdout, f)
 	}
 
-	prevCache := experiment.GetRunCacheStats()
-	prevCkpt := experiment.GetCheckpointStats()
-	prevLease := experiment.GetLeaseStats()
+	prev := experiment.Snapshot()
 	for _, entry := range entries {
 		fmt.Fprintf(out, "### %s — %s (profile=%s, seed=%d)\n\n", entry.ID, entry.Title, *profile, opt.Seed)
 		start := time.Now()
@@ -328,30 +326,26 @@ func runExperiments(args []string) error {
 		// Duplicate-run elimination and checkpoint traffic are reported on
 		// stderr so the rendered artifact stays byte-identical whether the
 		// cache is cold, warm, resumed, or disabled.
-		cur := experiment.GetRunCacheStats()
-		if cur != prevCache {
+		cur := experiment.Snapshot()
+		if rc, p := cur.RunCache, prev.RunCache; rc != p {
 			fmt.Fprintf(os.Stderr, "cohmeleon: %s: run cache: %d memo hits, %d disk hits, %d simulated\n",
-				entry.ID, cur.Hits-prevCache.Hits, cur.DiskHits-prevCache.DiskHits, cur.Misses-prevCache.Misses)
+				entry.ID, rc.Hits-p.Hits, rc.DiskHits-p.DiskHits, rc.Misses-p.Misses)
 		}
-		prevCache = cur
-		ck := experiment.GetCheckpointStats()
-		if ck != prevCkpt {
+		if ck, p := cur.Checkpoint, prev.Checkpoint; ck != p {
 			fmt.Fprintf(os.Stderr, "cohmeleon: %s: checkpoints: %d cells replayed, %d cells saved\n",
-				entry.ID, ck.Replayed-prevCkpt.Replayed, ck.Saved-prevCkpt.Saved)
+				entry.ID, ck.Replayed-p.Replayed, ck.Saved-p.Saved)
 		}
-		prevCkpt = ck
-		ls := experiment.GetLeaseStats()
-		if ls != prevLease {
+		if ls, p := cur.Lease, prev.Lease; ls != p {
 			fmt.Fprintf(os.Stderr, "cohmeleon: %s: leases: %d acquired, %d renewed, %d contended, %d expired, %d reclaimed, %d lost, %d fallbacks\n",
-				entry.ID, ls.Acquired-prevLease.Acquired, ls.Renewed-prevLease.Renewed,
-				ls.Contended-prevLease.Contended, ls.Expired-prevLease.Expired,
-				ls.Reclaimed-prevLease.Reclaimed, ls.Lost-prevLease.Lost, ls.Fallbacks-prevLease.Fallbacks)
+				entry.ID, ls.Acquired-p.Acquired, ls.Renewed-p.Renewed,
+				ls.Contended-p.Contended, ls.Expired-p.Expired,
+				ls.Reclaimed-p.Reclaimed, ls.Lost-p.Lost, ls.Fallbacks-p.Fallbacks)
 		}
-		prevLease = ls
+		prev = cur
 	}
-	// Degraded-store traffic (counted in memo.go, warned once there) gets
+	// Degraded-store traffic (counted and warned once in internal/store) gets
 	// a final tally so a run that limped through write failures says so.
-	if st := experiment.GetRunCacheStats(); st.WriteFailures+st.ReadFailures+st.Quarantined > 0 {
+	if st := experiment.Snapshot().RunCache; st.WriteFailures+st.ReadFailures+st.Quarantined > 0 {
 		fmt.Fprintf(os.Stderr, "cohmeleon: run store degraded: %d write failures, %d read failures, %d quarantined\n",
 			st.WriteFailures, st.ReadFailures, st.Quarantined)
 	}

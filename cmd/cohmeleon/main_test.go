@@ -290,7 +290,7 @@ func TestRunResumeReplaysCheckpointedCells(t *testing.T) {
 	if err := run(append(base, "-out", out1, "sweep")); err != nil {
 		t.Fatal(err)
 	}
-	if st := experiment.GetCheckpointStats(); st.Saved == 0 {
+	if st := experiment.Snapshot().Checkpoint; st.Saved == 0 {
 		t.Fatalf("first run saved no checkpoint cells: %+v", st)
 	}
 	experiment.ResetRunCache()
@@ -298,7 +298,7 @@ func TestRunResumeReplaysCheckpointedCells(t *testing.T) {
 	if err := run(append(base, "-resume", "-out", out2, "sweep")); err != nil {
 		t.Fatal(err)
 	}
-	if st := experiment.GetCheckpointStats(); st.Replayed == 0 {
+	if st := experiment.Snapshot().Checkpoint; st.Replayed == 0 {
 		t.Fatalf("resumed run replayed no cells: %+v", st)
 	}
 	first, err := os.ReadFile(out1)
@@ -341,7 +341,7 @@ func TestRunCacheDirPersistsAcrossInvocations(t *testing.T) {
 	if err := run(args); err != nil {
 		t.Fatal(err)
 	}
-	if st := experiment.GetRunCacheStats(); st.DiskHits == 0 {
+	if st := experiment.Snapshot().RunCache; st.DiskHits == 0 {
 		t.Fatalf("second invocation over the cache dir hit nothing: %+v", st)
 	}
 }

@@ -323,7 +323,7 @@ func (e *Estimator) replay(pol esp.Policy, app *workload.App, res *workload.AppR
 				} else {
 					act = soc.ModeAction(pol.Decide(ctx))
 				}
-				if !ctx.Allows(act.Hot()) || (act.IsSplit() && !ctx.Allows(act.Cold())) {
+				if !ctx.Allows(act.Hot()) || !ctx.Allows(act.Cold()) {
 					return fmt.Errorf("costmodel: policy %s chose unavailable action %s on %s",
 						pol.Name(), act, st.spec.Chain[link])
 				}

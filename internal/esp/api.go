@@ -57,8 +57,8 @@ func (sys *System) invoke(p *sim.Proc, a *soc.AccTile, buf *mem.Buffer, cpu *sim
 	} else {
 		action = soc.ModeAction(pol.Decide(ctx))
 	}
-	mode := action.Hot()
-	if !ctx.Allows(mode) || (action.IsSplit() && !ctx.Allows(action.Cold())) {
+	mode, cold := action.Hot(), action.Cold() // equal for a uniform action
+	if !ctx.Allows(mode) || !ctx.Allows(cold) {
 		panic(fmt.Sprintf("esp: policy %s chose unavailable action %v for %s",
 			pol.Name(), action, a.InstName))
 	}
@@ -78,27 +78,16 @@ func (sys *System) invoke(p *sim.Proc, a *soc.AccTile, buf *mem.Buffer, cpu *sim
 	// Flush obligations come from the active protocol's rules; a split
 	// invocation owes the union of its two regions' obligations (the
 	// flush ranges over the whole buffer, conservatively).
-	needPrivate := s.NeedsPrivateFlush(mode)
-	needLLC := s.NeedsLLCFlush(mode)
-	if action.IsSplit() {
-		needPrivate = needPrivate || s.NeedsPrivateFlush(action.Cold())
-		needLLC = needLLC || s.NeedsLLCFlush(action.Cold())
-	}
-	if needPrivate {
+	if s.NeedsPrivateFlush(mode) || s.NeedsPrivateFlush(cold) {
 		p.WaitUntil(s.FlushPrivateRange(buf, p.Now(), meter))
 	}
-	if needLLC {
+	if s.NeedsLLCFlush(mode) || s.NeedsLLCFlush(cold) {
 		p.WaitUntil(s.FlushLLCRange(buf, p.Now(), meter))
 	}
 
 	// The thread sleeps while the accelerator runs; the CPU is free.
 	cpu.Release()
-	var stats soc.InvocationStats
-	if action.IsSplit() {
-		stats = s.RunAcceleratorSplit(p, a, buf, mode, action.Cold(), rng)
-	} else {
-		stats = s.RunAccelerator(p, a, buf, mode, rng)
-	}
+	stats := s.RunAcceleratorSplit(p, a, buf, mode, cold, rng)
 	cpu.Acquire(p)
 	p.Delay(s.P.IRQCycles)
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync/atomic"
 
 	"cohmeleon/internal/faultinject"
 	"cohmeleon/internal/store"
@@ -32,27 +31,6 @@ import (
 // directory naming. Bump it when either changes: old checkpoints are
 // then simply never matched, not misread.
 const checkpointVersion = 1
-
-// CheckpointStats counts checkpoint traffic since the last reset.
-type CheckpointStats struct {
-	// Replayed cells served from a previous run's checkpoint.
-	Replayed int64
-	// Saved cells persisted by this run.
-	Saved int64
-}
-
-var ckptReplayed, ckptSaved atomic.Int64
-
-// GetCheckpointStats returns the counters since the last reset.
-func GetCheckpointStats() CheckpointStats {
-	return CheckpointStats{Replayed: ckptReplayed.Load(), Saved: ckptSaved.Load()}
-}
-
-// ResetCheckpointStats zeroes the checkpoint counters.
-func ResetCheckpointStats() {
-	ckptReplayed.Store(0)
-	ckptSaved.Store(0)
-}
 
 // checkpoint is one experiment run's cell store. A nil checkpoint (no
 // cache directory configured) is valid and inert: loads miss, saves
@@ -113,7 +91,7 @@ func (c *checkpoint) load(i int, v interface{}) bool {
 	if st != store.Hit {
 		return false
 	}
-	ckptReplayed.Add(1)
+	bump(ckptReplayed, 1)
 	return true
 }
 
@@ -134,6 +112,6 @@ func (c *checkpoint) save(i int, v interface{}) {
 		return
 	}
 	if c.store.Write("checkpoint", c.cellPath(i), checkpointVersion, v, ckptFaults) == nil {
-		ckptSaved.Add(1)
+		bump(ckptSaved, 1)
 	}
 }

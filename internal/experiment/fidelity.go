@@ -6,12 +6,10 @@ import (
 	"fmt"
 	"path/filepath"
 	"sync"
-	"sync/atomic"
 
 	"cohmeleon/internal/costmodel"
 	"cohmeleon/internal/faultinject"
 	"cohmeleon/internal/policy"
-	"cohmeleon/internal/scenario"
 	"cohmeleon/internal/soc"
 	"cohmeleon/internal/store"
 	"cohmeleon/internal/workload"
@@ -68,36 +66,6 @@ const (
 // calibSeed derives the calibration scenario seed from the options.
 func calibSeed(opt Options) uint64 { return opt.Seed ^ calibSeedSalt }
 
-// FidelityStats counts two-fidelity traffic since the last reset.
-type FidelityStats struct {
-	// ModelFits counts least-squares calibrations actually performed.
-	ModelFits int64
-	// ModelMemoHits and ModelDiskHits count fitted models served from
-	// the in-process memo and the cache directory.
-	ModelMemoHits int64
-	ModelDiskHits int64
-	// ScreenedCells counts grid cells evaluated analytically.
-	ScreenedCells int64
-	// EscalatedCells counts screened cells auto escalated to
-	// cycle-accurate simulation.
-	EscalatedCells int64
-}
-
-var fidelityCounters struct {
-	fits, memoHits, diskHits, screened, escalated atomic.Int64
-}
-
-// GetFidelityStats returns the counters since the last reset.
-func GetFidelityStats() FidelityStats {
-	return FidelityStats{
-		ModelFits:      fidelityCounters.fits.Load(),
-		ModelMemoHits:  fidelityCounters.memoHits.Load(),
-		ModelDiskHits:  fidelityCounters.diskHits.Load(),
-		ScreenedCells:  fidelityCounters.screened.Load(),
-		EscalatedCells: fidelityCounters.escalated.Load(),
-	}
-}
-
 // modelMemo caches fitted models in-process, keyed by calibration
 // content. ResetRunCache clears it alongside the run memo. An entry is
 // published before its model is ready, so concurrent callers of one key
@@ -113,19 +81,6 @@ type modelEntry struct {
 	done chan struct{}
 	m    *costmodel.Model
 	err  error
-}
-
-// resetFidelity drops cached models and zeroes the counters
-// (ResetRunCache's contract).
-func resetFidelity() {
-	modelMemo.mu.Lock()
-	modelMemo.entries = make(map[runKey]*modelEntry)
-	modelMemo.mu.Unlock()
-	fidelityCounters.fits.Store(0)
-	fidelityCounters.memoHits.Store(0)
-	fidelityCounters.diskHits.Store(0)
-	fidelityCounters.screened.Store(0)
-	fidelityCounters.escalated.Store(0)
 }
 
 // modelKey fingerprints everything that determines the fitted
@@ -170,7 +125,7 @@ func calibratedModel(ctx context.Context, opt Options) (*costmodel.Model, error)
 				// ended; its entry is gone, so try again.
 				continue
 			}
-			fidelityCounters.memoHits.Add(1)
+			bump(modelMemoHits, 1)
 			return e.m, nil
 		}
 		e := &modelEntry{done: make(chan struct{})}
@@ -211,7 +166,7 @@ func loadOrFitModel(ctx context.Context, opt Options, key runKey) (*costmodel.Mo
 			return err
 		})
 		if status == store.Hit {
-			fidelityCounters.diskHits.Add(1)
+			bump(modelDiskHits, 1)
 			return m, nil
 		}
 	}
@@ -220,7 +175,7 @@ func loadOrFitModel(ctx context.Context, opt Options, key runKey) (*costmodel.Mo
 	if err != nil {
 		return nil, err
 	}
-	fidelityCounters.fits.Add(1)
+	bump(modelFits, 1)
 	if path != "" {
 		data, err := costmodel.Encode(m)
 		if err == nil {
@@ -238,12 +193,7 @@ func loadOrFitModel(ctx context.Context, opt Options, key runKey) (*costmodel.Mo
 // simulator (memoized and persisted like any static run) and fits the
 // analytical model against every invocation, in fixed order.
 func fitModel(ctx context.Context, opt Options) (*costmodel.Model, error) {
-	spec := scenario.DefaultSpec()
-	spec.MinInvocations = calibInvocations
-	if opt.Protocol != "" {
-		spec.SoC.Protocols = []string{opt.Protocol}
-	}
-	scens, err := scenario.Sample(spec, calibScenarios, calibSeed(opt))
+	scens, err := sampleScenarios(opt, calibInvocations, calibScenarios, calibSeed(opt))
 	if err != nil {
 		return nil, fmt.Errorf("experiment: calibration scenarios: %w", err)
 	}

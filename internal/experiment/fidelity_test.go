@@ -144,7 +144,7 @@ func TestCalibrationRefitBitIdentical(t *testing.T) {
 	if m1.Err != m2.Err {
 		t.Fatalf("refit changed error bounds: %+v vs %+v", m1.Err, m2.Err)
 	}
-	if st := GetFidelityStats(); st.ModelFits != 1 {
+	if st := Snapshot().Fidelity; st.ModelFits != 1 {
 		t.Fatalf("second calibration performed %d fits, want exactly 1", st.ModelFits)
 	}
 	if m1.Err.MAPE > pinnedMAPE {
@@ -187,7 +187,7 @@ func TestModelDiskCacheAndQuarantine(t *testing.T) {
 	if again.ExecCoef != first.ExecCoef || again.MemCoef != first.MemCoef {
 		t.Fatal("disk-loaded model differs from the fitted one")
 	}
-	if st := GetFidelityStats(); st.ModelDiskHits != 1 || st.ModelFits != 0 {
+	if st := Snapshot().Fidelity; st.ModelDiskHits != 1 || st.ModelFits != 0 {
 		t.Fatalf("disk load counted %d disk hits, %d fits; want 1 and 0", st.ModelDiskHits, st.ModelFits)
 	}
 
@@ -211,7 +211,7 @@ func TestModelDiskCacheAndQuarantine(t *testing.T) {
 	if healed.ExecCoef != first.ExecCoef {
 		t.Fatal("post-quarantine refit differs from the original fit")
 	}
-	if st := GetFidelityStats(); st.ModelDiskHits != 0 || st.ModelFits != 1 {
+	if st := Snapshot().Fidelity; st.ModelDiskHits != 0 || st.ModelFits != 1 {
 		t.Fatalf("corrupt load counted %d disk hits, %d fits; want 0 and 1", st.ModelDiskHits, st.ModelFits)
 	}
 	if _, err := os.Stat(files[0] + ".corrupt"); err != nil {
@@ -376,7 +376,7 @@ func TestCalibrationSingleFlight(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if st := GetFidelityStats(); st.ModelFits != 1 || st.ModelMemoHits != 1 {
+	if st := Snapshot().Fidelity; st.ModelFits != 1 || st.ModelMemoHits != 1 {
 		t.Fatalf("concurrent sweeps performed %d fits and %d memo hits, want 1 and 1", st.ModelFits, st.ModelMemoHits)
 	}
 	if reports[0] != reports[1] {

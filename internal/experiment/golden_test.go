@@ -128,8 +128,8 @@ func TestGoldenNonFullFidelity(t *testing.T) {
 // with the fine-grain action space at Tiny (report and decision
 // counts), then the trained agent's test run per phase (cycles and
 // off-chip lines) and how many of its invocations took a hot/cold
-// split action. Nothing else runs split invocations through the
-// simulator, so this is the byte-identity gate for that path.
+// split action. No other test runs split invocations end to end, so
+// this is the byte-identity gate for that path.
 func TestGoldenFineGrain(t *testing.T) {
 	opt := Tiny()
 	opt.FineGrain = true

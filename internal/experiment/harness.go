@@ -10,6 +10,7 @@ import (
 	"cohmeleon/internal/costmodel"
 	"cohmeleon/internal/esp"
 	"cohmeleon/internal/policy"
+	"cohmeleon/internal/scenario"
 	"cohmeleon/internal/sim"
 	"cohmeleon/internal/soc"
 	"cohmeleon/internal/stats"
@@ -42,6 +43,19 @@ func releaseEngine(e *sim.Engine) { enginePool.Put(e) }
 func withProtocol(cfg *soc.Config, opt Options) *soc.Config {
 	cfg.Protocol = opt.Protocol
 	return cfg
+}
+
+// sampleScenarios draws n scenarios of the default spec, each sized to
+// minInv invocations. A -protocol selection becomes a single-entry
+// axis, which pins every sampled SoC's protocol without consuming an
+// RNG draw, so the topology stream is unchanged.
+func sampleScenarios(opt Options, minInv, n int, seed uint64) ([]scenario.Scenario, error) {
+	spec := scenario.DefaultSpec()
+	spec.MinInvocations = minInv
+	if opt.Protocol != "" {
+		spec.SoC.Protocols = []string{opt.Protocol}
+	}
+	return scenario.Sample(spec, n, seed)
 }
 
 // build builds a fresh SoC (hardware state never survives between

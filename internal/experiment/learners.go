@@ -9,7 +9,6 @@ import (
 	"cohmeleon/internal/costmodel"
 	"cohmeleon/internal/learn"
 	"cohmeleon/internal/policy"
-	"cohmeleon/internal/scenario"
 	"cohmeleon/internal/soc"
 	"cohmeleon/internal/stats"
 	"cohmeleon/internal/workload"
@@ -157,12 +156,7 @@ func Learners(opt Options) (*LearnersResult, error) {
 		return nil, err
 	}
 	ctx := opt.ctx()
-	spec := scenario.DefaultSpec()
-	spec.MinInvocations = opt.MinInvocations
-	if opt.Protocol != "" {
-		spec.SoC.Protocols = []string{opt.Protocol}
-	}
-	scens, err := scenario.Sample(spec, opt.LearnerScenarios, opt.Seed)
+	scens, err := sampleScenarios(opt, opt.MinInvocations, opt.LearnerScenarios, opt.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -270,7 +264,7 @@ func Learners(opt Options) (*LearnersResult, error) {
 				if sg.cells[ki], sg.err = trial(p.ev, si*len(stacks)+ki, p.baseline); sg.err != nil {
 					return
 				}
-				fidelityCounters.screened.Add(1)
+				bump(screenedCells, 1)
 				execs[ki] = sg.cells[ki].exec
 			}
 			sg.escalate = contenders(execs, escalationBand(model))
@@ -315,13 +309,13 @@ func Learners(opt Options) (*LearnersResult, error) {
 				return err
 			}
 			cells[i].escalated = true
-			fidelityCounters.escalated.Add(1)
+			bump(escalatedCells, 1)
 		default:
 			if cells[i], err = trial(p.ev, i, p.baseline); err != nil {
 				return err
 			}
 			if fid == FidelityScreening {
-				fidelityCounters.screened.Add(1)
+				bump(screenedCells, 1)
 			}
 		}
 		ck.save(i, &learnerCellImage{Exec: cells[i].exec, Mem: cells[i].mem,

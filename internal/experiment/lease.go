@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"cohmeleon/internal/faultinject"
@@ -51,64 +50,6 @@ const leaseVersion = 1
 // computes it without a lease. Progress beats dedup: a broken lease
 // directory must degrade to duplicated work, never to a stuck grid.
 const leaseFallbackAfter = 3
-
-// LeaseStats counts shared-mode lease traffic since the last reset.
-type LeaseStats struct {
-	// Acquired leases (fresh claims and post-reclaim re-claims).
-	Acquired int64
-	// Renewed heartbeats on held leases.
-	Renewed int64
-	// Expired counts stale-lease detections: a peer's lease whose
-	// renewal counter stalled for a full TTL.
-	Expired int64
-	// Reclaimed counts stale leases this process actually took (won the
-	// reclaim rename); at most one worker ever wins each.
-	Reclaimed int64
-	// Contended counts acquire races lost: the exclusive link found a
-	// lease another worker published first.
-	Contended int64
-	// Lost counts held leases observed taken away (reclaimed by a peer
-	// that judged this worker dead); the holder stops renewing and
-	// finishes its in-flight cell, whose bytes are identical anyway.
-	Lost int64
-	// Fallbacks counts cells computed without a lease after repeated
-	// acquire failures (never after mere contention).
-	Fallbacks int64
-}
-
-var (
-	leaseAcquired  atomic.Int64
-	leaseRenewed   atomic.Int64
-	leaseExpired   atomic.Int64
-	leaseReclaimed atomic.Int64
-	leaseContended atomic.Int64
-	leaseLost      atomic.Int64
-	leaseFallbacks atomic.Int64
-)
-
-// GetLeaseStats returns the counters since the last reset.
-func GetLeaseStats() LeaseStats {
-	return LeaseStats{
-		Acquired:  leaseAcquired.Load(),
-		Renewed:   leaseRenewed.Load(),
-		Expired:   leaseExpired.Load(),
-		Reclaimed: leaseReclaimed.Load(),
-		Contended: leaseContended.Load(),
-		Lost:      leaseLost.Load(),
-		Fallbacks: leaseFallbacks.Load(),
-	}
-}
-
-// ResetLeaseStats zeroes the lease counters.
-func ResetLeaseStats() {
-	leaseAcquired.Store(0)
-	leaseRenewed.Store(0)
-	leaseExpired.Store(0)
-	leaseReclaimed.Store(0)
-	leaseContended.Store(0)
-	leaseLost.Store(0)
-	leaseFallbacks.Store(0)
-}
 
 // leaseRoot names the lease area under a cache directory.
 func leaseRoot(cacheDir string) string {
@@ -250,7 +191,7 @@ func (lt *leaseTable) claim(i int) (token uint64, claimed bool, err error) {
 		if !lt.stale(i, img) {
 			return 0, false, nil
 		}
-		leaseExpired.Add(1)
+		bump(leaseExpired, 1)
 		if !lt.reclaim(i, img) {
 			return 0, false, nil // a racer won the reclaim; re-read next round
 		}
@@ -274,12 +215,12 @@ func (lt *leaseTable) acquire(i int, tok uint64) (uint64, bool, error) {
 	}
 	if err != nil {
 		if os.IsExist(err) {
-			leaseContended.Add(1)
+			bump(leaseContended, 1)
 			return 0, false, nil
 		}
 		return 0, false, err
 	}
-	leaseAcquired.Add(1)
+	bump(leaseAcquired, 1)
 	lt.mu.Lock()
 	if tok > lt.lastTok[i] {
 		lt.lastTok[i] = tok
@@ -300,7 +241,7 @@ func (lt *leaseTable) renew(i int, tok uint64) error {
 		return fmt.Errorf("experiment: lease %s unreadable during renewal", lt.path(i))
 	}
 	if st == leaseAbsent || img.Token != tok || img.Holder != lt.holder {
-		leaseLost.Add(1)
+		bump(leaseLost, 1)
 		return errLeaseLost
 	}
 	if err := faultinject.Check(faultinject.LeaseRenew); err != nil {
@@ -314,7 +255,7 @@ func (lt *leaseTable) renew(i int, tok uint64) error {
 	if err != nil {
 		return err
 	}
-	leaseRenewed.Add(1)
+	bump(leaseRenewed, 1)
 	return nil
 }
 
@@ -347,7 +288,7 @@ func (lt *leaseTable) reclaim(i int, img leaseImage) bool {
 	if err := os.Rename(lt.path(i), dst); err != nil {
 		return false
 	}
-	leaseReclaimed.Add(1)
+	bump(leaseReclaimed, 1)
 	lt.forget(i)
 	return true
 }

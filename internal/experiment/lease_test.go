@@ -66,7 +66,7 @@ func TestLeaseAcquireIsExclusive(t *testing.T) {
 	if won != 1 {
 		t.Fatalf("claims won = %d, want exactly 1", won)
 	}
-	st := GetLeaseStats()
+	st := Snapshot().Lease
 	if st.Acquired != 1 {
 		t.Errorf("Acquired = %d, want 1", st.Acquired)
 	}
@@ -82,7 +82,7 @@ func TestLeaseAcquireIsExclusive(t *testing.T) {
 	if _, claimed, err := tables[0].acquire(0, 99); claimed || err != nil {
 		t.Fatalf("acquire over existing lease = (%v, %v), want (false, nil)", claimed, err)
 	}
-	if got := GetLeaseStats().Contended; got != before+1 {
+	if got := Snapshot().Lease.Contended; got != before+1 {
 		t.Errorf("Contended after direct race loss = %d, want %d", got, before+1)
 	}
 }
@@ -124,7 +124,7 @@ func TestLeaseStaleReclaim(t *testing.T) {
 	if tok2 != tok+1 {
 		t.Errorf("reclaimed token = %d, want %d (fencing bump)", tok2, tok+1)
 	}
-	st := GetLeaseStats()
+	st := Snapshot().Lease
 	if st.Expired < 1 || st.Reclaimed != 1 {
 		t.Errorf("Expired = %d (want ≥ 1), Reclaimed = %d (want 1)", st.Expired, st.Reclaimed)
 	}
@@ -168,7 +168,7 @@ func TestLeaseReclaimRaceSingleWinner(t *testing.T) {
 	if won != 1 {
 		t.Fatalf("reclaims won = %d, want exactly 1", won)
 	}
-	if st := GetLeaseStats(); st.Reclaimed != 1 {
+	if st := Snapshot().Lease; st.Reclaimed != 1 {
 		t.Errorf("Reclaimed = %d, want 1", st.Reclaimed)
 	}
 }
@@ -192,7 +192,7 @@ func TestLeaseTornFileQuarantined(t *testing.T) {
 	if _, err := os.Stat(lt.path(3) + ".corrupt"); err != nil {
 		t.Errorf("torn lease not quarantined: %v", err)
 	}
-	if st := GetRunCacheStats(); st.Quarantined != 1 {
+	if st := Snapshot().RunCache; st.Quarantined != 1 {
 		t.Errorf("Quarantined = %d, want 1", st.Quarantined)
 	}
 }
@@ -228,7 +228,7 @@ func TestLeaseAcquireNeverTornToReaders(t *testing.T) {
 	if m, _ := filepath.Glob(filepath.Join(holder.dir, "*.corrupt")); len(m) != 0 {
 		t.Errorf("live leases quarantined as corrupt: %v", m)
 	}
-	if st := GetRunCacheStats(); st.Quarantined != 0 {
+	if st := Snapshot().RunCache; st.Quarantined != 0 {
 		t.Errorf("Quarantined = %d, want 0", st.Quarantined)
 	}
 	if m, _ := filepath.Glob(filepath.Join(holder.dir, ".*.tmp")); len(m) != 0 {
@@ -263,7 +263,7 @@ func TestLeaseRenewAndLoss(t *testing.T) {
 	if err := lt.renew(0, tok); err != errLeaseLost {
 		t.Fatalf("renew after reclaim = %v, want errLeaseLost", err)
 	}
-	stats := GetLeaseStats()
+	stats := Snapshot().Lease
 	if stats.Renewed != 3 || stats.Lost != 1 {
 		t.Errorf("Renewed = %d (want 3), Lost = %d (want 1)", stats.Renewed, stats.Lost)
 	}

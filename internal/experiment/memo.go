@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"path/filepath"
 	"sync"
-	"sync/atomic"
 
 	"cohmeleon/internal/esp"
 	"cohmeleon/internal/faultinject"
@@ -74,24 +73,6 @@ func runCacheKey(cfg *soc.Config, pol esp.Policy, app *workload.App, seed uint64
 	return k, true
 }
 
-// RunCacheStats counts run-cache traffic since the last reset.
-type RunCacheStats struct {
-	// Hits served from the in-process memo (including callers that
-	// waited on a concurrent worker's in-flight simulation).
-	Hits int64
-	// DiskHits served from the persistent cache directory.
-	DiskHits int64
-	// Misses that had to simulate.
-	Misses int64
-	// Evictions of in-process entries past the capacity bound.
-	Evictions int64
-	// WriteFailures, ReadFailures and Quarantined are the process
-	// store's counters (store.Stats), over every kind of durable file.
-	WriteFailures int64
-	ReadFailures  int64
-	Quarantined   int64
-}
-
 // memoEntry is one in-flight or completed run. Waiters block on done;
 // res is the insulated master copy (callers get clones).
 type memoEntry struct {
@@ -107,8 +88,6 @@ type runMemo struct {
 	store   *store.Store
 	entries map[runKey]*memoEntry
 	order   []runKey // insertion order, for capacity eviction
-
-	hits, diskHits, misses, evictions atomic.Int64
 }
 
 // appRunMemo is the process-wide run cache. In-process memoization is
@@ -143,35 +122,19 @@ func RunStore() *store.Store {
 	return appRunMemo.store
 }
 
-// ResetRunCache drops every in-process entry and zeroes the statistics;
-// the cache directory setting (and its files) are untouched.
+// ResetRunCache drops every in-process run and model entry and zeroes
+// every counter but the checkpoint ones (ResetCheckpointStats); the
+// cache directory setting (and its files) are untouched.
 func ResetRunCache() {
 	appRunMemo.mu.Lock()
 	defer appRunMemo.mu.Unlock()
 	appRunMemo.entries = make(map[runKey]*memoEntry)
 	appRunMemo.order = nil
-	appRunMemo.hits.Store(0)
-	appRunMemo.diskHits.Store(0)
-	appRunMemo.misses.Store(0)
-	appRunMemo.evictions.Store(0)
 	appRunMemo.store.Reset()
-	ResetRetryStats()
-	ResetLeaseStats()
-	resetFidelity()
-}
-
-// GetRunCacheStats returns the counters since the last reset.
-func GetRunCacheStats() RunCacheStats {
-	st := RunStore().Stats()
-	return RunCacheStats{
-		Hits:          appRunMemo.hits.Load(),
-		DiskHits:      appRunMemo.diskHits.Load(),
-		Misses:        appRunMemo.misses.Load(),
-		Evictions:     appRunMemo.evictions.Load(),
-		WriteFailures: st.WriteFailures,
-		ReadFailures:  st.ReadFailures,
-		Quarantined:   st.Quarantined,
-	}
+	processCounters.reset(0, ckptReplayed)
+	modelMemo.mu.Lock()
+	modelMemo.entries = make(map[runKey]*modelEntry)
+	modelMemo.mu.Unlock()
 }
 
 // getOrRun returns the memoized result for key, loading it from the
@@ -180,7 +143,6 @@ func GetRunCacheStats() RunCacheStats {
 // different serve-mode jobs, whose contexts carry their own counters so
 // each job sees its share of the dedup.
 func (m *runMemo) getOrRun(ctx context.Context, key runKey, cfg *soc.Config, app *workload.App, run func() (*workload.AppResult, error)) (*workload.AppResult, error) {
-	jc := jobCountersFrom(ctx)
 	m.mu.Lock()
 	if e, ok := m.entries[key]; ok {
 		m.mu.Unlock()
@@ -190,10 +152,7 @@ func (m *runMemo) getOrRun(ctx context.Context, key runKey, cfg *soc.Config, app
 			// caller surfaces the (deterministic) error independently.
 			return run()
 		}
-		m.hits.Add(1)
-		if jc != nil {
-			jc.MemoHits.Add(1)
-		}
+		bumpJob(ctx, runMemoHits)
 		return cloneAppResult(e.res), nil
 	}
 	e := &memoEntry{done: make(chan struct{})}
@@ -207,10 +166,7 @@ func (m *runMemo) getOrRun(ctx context.Context, key runKey, cfg *soc.Config, app
 		// Absent, corrupt (now quarantined), and unreadable entries all
 		// fall through to simulation; only a verified entry is served.
 		if res, ok := loadPersistedRun(st, key, cfg, app); ok {
-			m.diskHits.Add(1)
-			if jc != nil {
-				jc.DiskHits.Add(1)
-			}
+			bumpJob(ctx, runDiskHits)
 			e.res = res
 			close(e.done)
 			return cloneAppResult(res), nil
@@ -225,10 +181,7 @@ func (m *runMemo) getOrRun(ctx context.Context, key runKey, cfg *soc.Config, app
 		m.mu.Unlock()
 		return nil, err
 	}
-	m.misses.Add(1)
-	if jc != nil {
-		jc.Misses.Add(1)
-	}
+	bumpJob(ctx, runMisses)
 	e.res = cloneAppResult(res) // insulate the master from caller mutation
 	close(e.done)
 	if st.Dir() != "" {
@@ -246,7 +199,7 @@ func (m *runMemo) evictLocked() {
 		m.order = m.order[1:]
 		if _, ok := m.entries[k]; ok {
 			delete(m.entries, k)
-			m.evictions.Add(1)
+			bump(runEvictions, 1)
 		}
 	}
 }

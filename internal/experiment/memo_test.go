@@ -79,7 +79,7 @@ func TestCorruptRunEntriesQuarantinedExactlyOnce(t *testing.T) {
 			if !sameMeasurements(again, first) {
 				t.Error("recomputed result after quarantine differs from the original")
 			}
-			st := GetRunCacheStats()
+			st := Snapshot().RunCache
 			if st.Quarantined != 1 {
 				t.Fatalf("quarantined %d entries, want exactly 1", st.Quarantined)
 			}
@@ -103,7 +103,7 @@ func TestCorruptRunEntriesQuarantinedExactlyOnce(t *testing.T) {
 			if !sameMeasurements(third, first) {
 				t.Error("post-heal disk hit differs from the original result")
 			}
-			st = GetRunCacheStats()
+			st = Snapshot().RunCache
 			if st.DiskHits != 1 || st.Quarantined != 0 {
 				t.Fatalf("post-heal load counted %d disk hits, %d quarantines; want 1 and 0", st.DiskHits, st.Quarantined)
 			}
@@ -195,7 +195,7 @@ func TestRunCacheHitReturnsIdenticalInsulatedResult(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := GetRunCacheStats()
+	st := Snapshot().RunCache
 	if st.Misses != 1 || st.Hits != 0 {
 		t.Fatalf("after cold run: %+v, want 1 miss", st)
 	}
@@ -203,7 +203,7 @@ func TestRunCacheHitReturnsIdenticalInsulatedResult(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st = GetRunCacheStats()
+	st = Snapshot().RunCache
 	if st.Hits != 1 {
 		t.Fatalf("after warm run: %+v, want 1 hit", st)
 	}
@@ -234,7 +234,7 @@ func TestRunCacheCapacityEviction(t *testing.T) {
 	if _, err := runApp(context.Background(), cfg, policy.NewFixed(soc.LLCCohDMA), app, 7); err != nil {
 		t.Fatal(err)
 	}
-	st := GetRunCacheStats()
+	st := Snapshot().RunCache
 	if st.Evictions == 0 {
 		t.Fatalf("capacity 1 after two distinct runs: %+v, want an eviction", st)
 	}
@@ -242,7 +242,7 @@ func TestRunCacheCapacityEviction(t *testing.T) {
 	if _, err := runApp(context.Background(), cfg, policy.NewFixed(soc.NonCohDMA), app, 7); err != nil {
 		t.Fatal(err)
 	}
-	if st = GetRunCacheStats(); st.Misses != 3 || st.Hits != 0 {
+	if st = Snapshot().RunCache; st.Misses != 3 || st.Hits != 0 {
 		t.Fatalf("after eviction: %+v, want 3 misses and no hits", st)
 	}
 }
@@ -272,7 +272,7 @@ func TestRunCachePersistenceRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := GetRunCacheStats()
+	st := Snapshot().RunCache
 	if st.DiskHits != 1 || st.Misses != 0 {
 		t.Fatalf("after warm-disk run: %+v, want 1 disk hit", st)
 	}
@@ -308,7 +308,7 @@ func TestRunCachePersistenceRoundTrip(t *testing.T) {
 	if _, err := runApp(context.Background(), cfg, policy.NewManual(), app, 7); err != nil {
 		t.Fatal(err)
 	}
-	if st := GetRunCacheStats(); st.Misses != 1 {
+	if st := Snapshot().RunCache; st.Misses != 1 {
 		t.Fatalf("after corrupt file: %+v, want a clean miss", st)
 	}
 }
@@ -339,7 +339,7 @@ func TestSweepByteIdenticalAcrossCacheModes(t *testing.T) {
 		t.Fatal(err)
 	}
 	coldR := cold.Render()
-	coldStats := GetRunCacheStats()
+	coldStats := Snapshot().RunCache
 	if coldStats.Misses == 0 {
 		t.Fatalf("cold cached sweep recorded no misses: %+v", coldStats)
 	}
@@ -350,7 +350,7 @@ func TestSweepByteIdenticalAcrossCacheModes(t *testing.T) {
 		t.Fatal(err)
 	}
 	warmR := warm.Render()
-	warmStats := GetRunCacheStats()
+	warmStats := Snapshot().RunCache
 	if warmStats.DiskHits == 0 {
 		t.Fatalf("warm cached sweep hit nothing: %+v", warmStats)
 	}

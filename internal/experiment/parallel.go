@@ -197,13 +197,10 @@ func (f fanout) cell(i int, fn func(i int) error) error {
 		if err == nil || f.retry == nil {
 			return err
 		}
-		if !f.retry.retryable(err) || attempt >= f.retry.MaxAttempts || f.ctx.Err() != nil {
+		if !IsTransient(err) || attempt >= f.retry.MaxAttempts || f.ctx.Err() != nil {
 			return err
 		}
-		retryCells.Add(1)
-		if c := jobCountersFrom(f.ctx); c != nil {
-			c.CellRetries.Add(1)
-		}
+		bumpJob(f.ctx, cellRetries)
 		if serr := f.retry.sleep(f.ctx, f.retry.delay(i, attempt)); serr != nil {
 			// Cancelled mid-backoff: surface the cancellation chain so a
 			// draining caller classifies this as an interrupt, with the

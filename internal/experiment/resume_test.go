@@ -102,7 +102,7 @@ func TestSweepResumeReplaysInsteadOfRecomputing(t *testing.T) {
 	if _, err := Sweep(opt); err != nil {
 		t.Fatal(err)
 	}
-	if st := GetCheckpointStats(); st.Saved != int64(opt.SweepScenarios) {
+	if st := Snapshot().Checkpoint; st.Saved != int64(opt.SweepScenarios) {
 		t.Fatalf("first run saved %d cells, want %d", st.Saved, opt.SweepScenarios)
 	}
 	ResetCheckpointStats()
@@ -111,7 +111,7 @@ func TestSweepResumeReplaysInsteadOfRecomputing(t *testing.T) {
 	if _, err := Sweep(ropt); err != nil {
 		t.Fatal(err)
 	}
-	st := GetCheckpointStats()
+	st := Snapshot().Checkpoint
 	if st.Replayed != int64(opt.SweepScenarios) || st.Saved != 0 {
 		t.Fatalf("resume replayed %d and saved %d cells, want %d and 0", st.Replayed, st.Saved, opt.SweepScenarios)
 	}
@@ -294,8 +294,8 @@ func TestAutoLearnersResumeScreensNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cells := GetCheckpointStats().Saved
-	if st := GetFidelityStats(); st.ScreenedCells != cells {
+	cells := Snapshot().Checkpoint.Saved
+	if st := Snapshot().Fidelity; st.ScreenedCells != cells {
 		t.Fatalf("first run screened %d of its %d cells, want all", st.ScreenedCells, cells)
 	}
 	ResetRunCache()
@@ -306,10 +306,10 @@ func TestAutoLearnersResumeScreensNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := GetCheckpointStats(); st.Replayed != cells || st.Saved != 0 {
+	if st := Snapshot().Checkpoint; st.Replayed != cells || st.Saved != 0 {
 		t.Fatalf("resume replayed %d and saved %d cells, want %d and 0", st.Replayed, st.Saved, cells)
 	}
-	if st := GetFidelityStats(); st.ScreenedCells != 0 {
+	if st := Snapshot().Fidelity; st.ScreenedCells != 0 {
 		t.Fatalf("fully replayed resume screened %d cells, want 0", st.ScreenedCells)
 	}
 	if got, want := res.Render(), ref.Render(); got != want {

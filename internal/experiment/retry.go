@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"cohmeleon/internal/faultinject"
@@ -19,23 +18,6 @@ import (
 // opposite: retrying them re-fails identically, so they are never
 // retried. The line between the two is explicit: only errors that
 // declare themselves transient (IsTransient) are retried.
-
-// RetryStats counts cell-retry traffic since the last reset.
-type RetryStats struct {
-	// CellRetries is the number of cell attempts that were retried
-	// after a transient failure.
-	CellRetries int64
-}
-
-var retryCells atomic.Int64
-
-// GetRetryStats returns the counters since the last reset.
-func GetRetryStats() RetryStats {
-	return RetryStats{CellRetries: retryCells.Load()}
-}
-
-// ResetRetryStats zeroes the retry counters.
-func ResetRetryStats() { retryCells.Store(0) }
 
 // IsTransient classifies an error as a retryable infrastructure
 // failure: it either implements `Transient() bool` or wraps
@@ -61,8 +43,6 @@ type RetryPolicy struct {
 	BaseDelay time.Duration
 	// MaxDelay caps the pre-jitter backoff.
 	MaxDelay time.Duration
-	// Retryable classifies errors; nil means IsTransient.
-	Retryable func(error) bool
 	// Sleep waits out a backoff delay, returning early with the context
 	// error if cancelled. Nil means a real timer; tests inject stubs.
 	Sleep func(context.Context, time.Duration) error
@@ -85,14 +65,6 @@ func (p *RetryPolicy) Validate() error {
 		return fmt.Errorf("experiment: retry max delay %v must be ≥ 0", p.MaxDelay)
 	}
 	return nil
-}
-
-// retryable applies the configured classifier.
-func (p *RetryPolicy) retryable(err error) bool {
-	if p.Retryable != nil {
-		return p.Retryable(err)
-	}
-	return IsTransient(err)
 }
 
 // delay computes the backoff before retry number `attempt` (1-based) of
@@ -121,20 +93,13 @@ func (p *RetryPolicy) delay(index, attempt int) time.Duration {
 
 // sleep waits out one backoff delay.
 func (p *RetryPolicy) sleep(ctx context.Context, d time.Duration) error {
-	if p.Sleep != nil {
+	switch {
+	case p.Sleep != nil:
 		return p.Sleep(ctx, d)
-	}
-	if d <= 0 {
+	case d <= 0:
 		return ctx.Err()
 	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
+	return sleepCtx(ctx, d)
 }
 
 // splitmix64 is the standard 64-bit finalizer-style mixer.

@@ -27,8 +27,7 @@ func retryOptions(attempts int) Options {
 }
 
 func TestRetryRescuesTransientCellFailure(t *testing.T) {
-	ResetRetryStats()
-	defer ResetRetryStats()
+	before := Snapshot().Retry.CellRetries
 	attempts := 0
 	err := forEachOpt(retryOptions(3), 1, func(i int) error {
 		attempts++
@@ -43,8 +42,8 @@ func TestRetryRescuesTransientCellFailure(t *testing.T) {
 	if attempts != 2 {
 		t.Fatalf("attempts = %d, want 2", attempts)
 	}
-	if st := GetRetryStats(); st.CellRetries != 1 {
-		t.Fatalf("CellRetries = %d, want 1", st.CellRetries)
+	if got := Snapshot().Retry.CellRetries - before; got != 1 {
+		t.Fatalf("CellRetries rose by %d, want 1", got)
 	}
 }
 
@@ -204,10 +203,13 @@ func TestGateCancelledWhileWaitingForAdmission(t *testing.T) {
 func TestJobCountersFlowThroughContext(t *testing.T) {
 	var c JobCounters
 	ctx := WithJobCounters(context.Background(), &c)
-	if got := jobCountersFrom(ctx); got != &c {
-		t.Fatal("jobCountersFrom lost the attached counters")
+	before := Snapshot().RunCache.Hits
+	bumpJob(ctx, runMemoHits)
+	bumpJob(context.Background(), runMemoHits)
+	if got := c.View(); got != (JobCounterView{MemoHits: 1}) {
+		t.Fatalf("job counters = %+v, want one memo hit from the attached context only", got)
 	}
-	if got := jobCountersFrom(context.Background()); got != nil {
-		t.Fatal("jobCountersFrom invented counters on a bare context")
+	if got := Snapshot().RunCache.Hits - before; got != 2 {
+		t.Fatalf("process memo hits rose by %d, want 2 (every bump counts process-wide)", got)
 	}
 }

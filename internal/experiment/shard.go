@@ -74,7 +74,7 @@ func runGrid(opt Options, ck *checkpoint, n int, load func(i int) bool, compute 
 				if acquireErrs[i] < leaseFallbackAfter {
 					return nil // leased next round, or fall back then
 				}
-				leaseFallbacks.Add(1)
+				bump(leaseFallbacks, 1)
 				if err := compute(i); err != nil {
 					return err
 				}

@@ -86,11 +86,11 @@ func TestSharedSweepTwoWorkersByteIdentical(t *testing.T) {
 			// have happened, and cells must not have been computed twice: cells
 			// saved is exactly the grid (every save after the first would need a
 			// reclaimed or fallback claim on an unpublished cell).
-			st := GetLeaseStats()
+			st := Snapshot().Lease
 			if st.Reclaimed != 0 || st.Expired != 0 || st.Lost != 0 || st.Fallbacks != 0 {
 				t.Errorf("live workers tripped failure paths: %+v", st)
 			}
-			if ck := GetCheckpointStats(); ck.Saved != int64(opt.SweepScenarios) {
+			if ck := Snapshot().Checkpoint; ck.Saved != int64(opt.SweepScenarios) {
 				t.Errorf("cells saved = %d, want %d (each cell computed exactly once across workers)",
 					ck.Saved, opt.SweepScenarios)
 			}
@@ -147,7 +147,7 @@ func TestSharedSweepDeadWorkerReclaimed(t *testing.T) {
 			t.Fatalf("dead pre-claim cell %d = (%v, %v)", i, claimed, err)
 		}
 	}
-	ResetLeaseStats()
+	before := Snapshot().Lease
 
 	res, err := Sweep(surv)
 	if err != nil {
@@ -156,13 +156,13 @@ func TestSharedSweepDeadWorkerReclaimed(t *testing.T) {
 	if got := res.Render(); got != refText {
 		t.Errorf("survivor report differs from single-process run:\n--- want ---\n%s\n--- got ---\n%s", refText, got)
 	}
-	st := GetLeaseStats()
-	if st.Reclaimed != int64(surv.SweepScenarios) {
+	st := Snapshot().Lease
+	if got := st.Reclaimed - before.Reclaimed; got != int64(surv.SweepScenarios) {
 		t.Errorf("Reclaimed = %d, want %d (every dead lease reclaimed exactly once)",
-			st.Reclaimed, surv.SweepScenarios)
+			got, surv.SweepScenarios)
 	}
-	if st.Expired < int64(surv.SweepScenarios) {
-		t.Errorf("Expired = %d, want ≥ %d", st.Expired, surv.SweepScenarios)
+	if got := st.Expired - before.Expired; got < int64(surv.SweepScenarios) {
+		t.Errorf("Expired = %d, want ≥ %d", got, surv.SweepScenarios)
 	}
 	// One tokened reclaim marker per cell is the on-disk audit trail.
 	marks, _ := filepath.Glob(filepath.Join(leaseRoot(dir), "*", "*.reclaimed-*"))

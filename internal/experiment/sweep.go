@@ -224,9 +224,9 @@ func sweepCell(ctx context.Context, sc scenario.Scenario, opt Options, loaded *l
 	if err != nil {
 		return out, err
 	}
-	fidelityCounters.screened.Add(1)
+	bump(screenedCells, 1)
 	if fid == FidelityAuto && contenders(out.execs, escalationBand(model)) != nil {
-		fidelityCounters.escalated.Add(1)
+		bump(escalatedCells, 1)
 		out, _, err = sweepScenario(sim, sc, opt, loaded)
 		out.escalated = true
 	}
@@ -333,14 +333,7 @@ func Sweep(opt Options) (*SweepResult, error) {
 		loaded, loadedRaw = st, raw
 	}
 
-	spec := scenario.DefaultSpec()
-	spec.MinInvocations = opt.MinInvocations
-	if opt.Protocol != "" {
-		// A single-entry axis pins every sampled SoC's protocol without
-		// consuming an RNG draw, so the topology stream is unchanged.
-		spec.SoC.Protocols = []string{opt.Protocol}
-	}
-	scens, err := scenario.Sample(spec, opt.SweepScenarios, opt.Seed)
+	scens, err := sampleScenarios(opt, opt.MinInvocations, opt.SweepScenarios, opt.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -373,7 +366,7 @@ func Sweep(opt Options) (*SweepResult, error) {
 		}
 		cell, err := sweepCellFromImage(&img)
 		if err != nil {
-			ckptReplayed.Add(-1) // envelope verified but the payload didn't revive
+			bump(ckptReplayed, -1) // envelope verified but the payload didn't revive
 			ck.invalidate(i, err)
 			return false
 		}

@@ -822,7 +822,7 @@ func TestServeSharedInstancesShareOneGrid(t *testing.T) {
 	// Both instances run in this process, so the process-wide save
 	// counter covers them jointly: the grid's cells were computed (and
 	// saved) exactly once across the two.
-	if st := experiment.GetCheckpointStats(); st.Saved != 3 {
+	if st := experiment.Snapshot().Checkpoint; st.Saved != 3 {
 		t.Fatalf("cells saved across shared instances = %d, want 3", st.Saved)
 	}
 }

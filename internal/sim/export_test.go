@@ -26,6 +26,3 @@ func (e *Engine) After(delay Cycles, fn func()) {
 func (e *Engine) Pending() int {
 	return len(e.queue) + len(e.ready) - e.readyHead
 }
-
-// Grants reports the number of reservations made.
-func (r *Resource) Grants() uint64 { return r.grants }

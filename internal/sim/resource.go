@@ -13,7 +13,6 @@ package sim
 type Resource struct {
 	availableAt Cycles
 	busy        Cycles // total busy cycles, for utilization stats
-	grants      uint64
 }
 
 // Acquire reserves dur cycles of service starting no earlier than at.
@@ -26,7 +25,6 @@ func (r *Resource) Acquire(at, dur Cycles) (start, end Cycles) {
 	end = start + dur
 	r.availableAt = end
 	r.busy += dur
-	r.grants++
 	return start, end
 }
 

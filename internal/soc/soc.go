@@ -132,7 +132,7 @@ type SoC struct {
 	flushScratch []mem.LineAddr
 	flushDirty   [][]mem.LineAddr
 	// Fine-grain split scratch: the hot- and cold-region sub-ranges of
-	// one chunk's transfer list (doTransfersSplit).
+	// one chunk's transfer list (transfer).
 	splitHotScratch  []acc.LineRange
 	splitColdScratch []acc.LineRange
 	// Run-resolution table for the buffer most recently used by

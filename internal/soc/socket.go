@@ -224,19 +224,23 @@ func splitRanges(ranges []acc.LineRange, hotLines int64, hot, cold []acc.LineRan
 	return hot, cold
 }
 
-// doTransfersSplit executes the plan's ranges under a fine-grain split:
-// accesses to the buffer's hot region (the leading hotLines lines) use
-// hotMode, the remainder coldMode. The hot region's transfers issue
-// first; the cursor stays serial, like doTransfers (one DMA transaction
-// in flight per socket).
-func (s *SoC) doTransfersSplit(a *AccTile, buf *mem.Buffer, ranges []acc.LineRange, hotMode, coldMode Mode, hotLines int64, write bool, at sim.Cycles, meter *Meter) sim.Cycles {
-	hotR, coldR := splitRanges(ranges, hotLines, s.splitHotScratch[:0], s.splitColdScratch[:0])
+// transfer executes the plan's ranges under the invocation's action.
+// A uniform action (hot == cold) is one doTransfers pass. A split
+// action routes accesses to the buffer's hot region (the leading
+// HotLines lines) through hot and the remainder through cold; the hot
+// region's transfers issue first, and the cursor stays serial (one DMA
+// transaction in flight per socket).
+func (s *SoC) transfer(a *AccTile, buf *mem.Buffer, ranges []acc.LineRange, hot, cold Mode, write bool, at sim.Cycles, meter *Meter) sim.Cycles {
+	if hot == cold {
+		return s.doTransfers(a, buf, ranges, hot, write, at, meter)
+	}
+	hotR, coldR := splitRanges(ranges, s.HotLines(), s.splitHotScratch[:0], s.splitColdScratch[:0])
 	t := at
 	if len(hotR) > 0 {
-		t = s.doTransfers(a, buf, hotR, hotMode, write, t, meter)
+		t = s.doTransfers(a, buf, hotR, hot, write, t, meter)
 	}
 	if len(coldR) > 0 {
-		t = s.doTransfers(a, buf, coldR, coldMode, write, t, meter)
+		t = s.doTransfers(a, buf, coldR, cold, write, t, meter)
 	}
 	s.splitHotScratch, s.splitColdScratch = hotR[:0], coldR[:0]
 	return t
@@ -272,15 +276,25 @@ func (s *SoC) ensureRunTable(buf *mem.Buffer) {
 }
 
 // RunAccelerator executes one invocation of the accelerator on the
-// dataset under the given coherence mode, with double-buffered chunk
-// pipelining (the next chunk's reads are prefetched during the current
-// chunk's compute). It must run inside a simulation process; the call
-// blocks in virtual time until the invocation completes. rng drives
-// irregular access selection.
-//
-// FullyCoh requires the tile to have a private cache.
+// dataset under the given coherence mode: RunAcceleratorSplit with the
+// same mode for both regions.
 func (s *SoC) RunAccelerator(p *sim.Proc, a *AccTile, buf *mem.Buffer, mode Mode, rng *sim.RNG) InvocationStats {
-	if mode == FullyCoh && !a.HasPrivateCache() {
+	return s.RunAcceleratorSplit(p, a, buf, mode, mode, rng)
+}
+
+// RunAcceleratorSplit executes one invocation of the accelerator on the
+// dataset under a fine-grain action: accesses to the buffer's hot
+// region (the leading HotLines-sized prefix) use hot, the remainder
+// cold; hot == cold is a uniform invocation. Chunks are double-buffered
+// (the next chunk's reads are prefetched during the current chunk's
+// compute). It must run inside a simulation process; the call blocks
+// in virtual time until the invocation completes. rng drives irregular
+// access selection.
+//
+// A mode of FullyCoh (in either region) requires the tile to have a
+// private cache.
+func (s *SoC) RunAcceleratorSplit(p *sim.Proc, a *AccTile, buf *mem.Buffer, hot, cold Mode, rng *sim.RNG) InvocationStats {
+	if (hot == FullyCoh || cold == FullyCoh) && !a.HasPrivateCache() {
 		panic(fmt.Sprintf("soc: %s has no private cache; FullyCoh unavailable", a.InstName))
 	}
 	plan := acc.NewPlan(a.Spec, buf.Bytes, rng)
@@ -295,7 +309,7 @@ func (s *SoC) RunAccelerator(p *sim.Proc, a *AccTile, buf *mem.Buffer, mode Mode
 	fetchIssue := start
 	var fetchDone sim.Cycles
 	if hasCur {
-		fetchDone = s.doTransfers(a, buf, cur.Reads, mode, false, start, &meter)
+		fetchDone = s.transfer(a, buf, cur.Reads, hot, cold, false, start, &meter)
 	}
 	prevComputeDone := start
 	lastWriteDone := start
@@ -314,11 +328,11 @@ func (s *SoC) RunAccelerator(p *sim.Proc, a *AccTile, buf *mem.Buffer, mode Mode
 		var nextIssue, nextDone sim.Cycles
 		if hasNext {
 			nextIssue = computeStart
-			nextDone = s.doTransfers(a, buf, next.Reads, mode, false, nextIssue, &meter)
+			nextDone = s.transfer(a, buf, next.Reads, hot, cold, false, nextIssue, &meter)
 		}
 
 		if len(cur.Writes) > 0 {
-			wDone := s.doTransfers(a, buf, cur.Writes, mode, true, computeDone, &meter)
+			wDone := s.transfer(a, buf, cur.Writes, hot, cold, true, computeDone, &meter)
 			comm += wDone - computeDone
 			if wDone > lastWriteDone {
 				lastWriteDone = wDone
@@ -329,96 +343,6 @@ func (s *SoC) RunAccelerator(p *sim.Proc, a *AccTile, buf *mem.Buffer, mode Mode
 		// chunk would cost a goroutine handoff per 16 kB of data; yielding
 		// on a virtual-time budget keeps fairness (reservation lookahead
 		// stays bounded) at a fraction of the cost.
-		if computeDone-p.Now() > yieldBudget {
-			p.WaitUntil(computeDone)
-		}
-
-		cur, next = next, cur
-		hasCur = hasNext
-		fetchIssue, fetchDone = nextIssue, nextDone
-	}
-
-	end := prevComputeDone
-	if lastWriteDone > end {
-		end = lastWriteDone
-	}
-	p.WaitUntil(end)
-	if total := end - start; comm > total {
-		comm = total // overlapped read+write phases cannot exceed wall clock
-	}
-
-	a.TotalInvocations++
-	a.TotalActive += end - start
-	a.TotalComm += comm
-	return InvocationStats{
-		Start:      start,
-		End:        end,
-		CommCycles: comm,
-		OffChip:    meter.OffChip,
-		Chunks:     chunks,
-	}
-}
-
-// RunAcceleratorSplit is RunAccelerator under a fine-grain action:
-// accesses to the buffer's hot region (the leading HotLines-sized
-// prefix) use hot, the remainder cold. The loop is a deliberate
-// duplicate of RunAccelerator's rather than a closure-parameterized
-// merge: the uniform path is the inner loop of every experiment and
-// must stay allocation-free and indirection-free.
-//
-// A mode of FullyCoh (in either region) requires the tile to have a
-// private cache.
-func (s *SoC) RunAcceleratorSplit(p *sim.Proc, a *AccTile, buf *mem.Buffer, hot, cold Mode, rng *sim.RNG) InvocationStats {
-	if hot == cold {
-		return s.RunAccelerator(p, a, buf, hot, rng)
-	}
-	if (hot == FullyCoh || cold == FullyCoh) && !a.HasPrivateCache() {
-		panic(fmt.Sprintf("soc: %s has no private cache; FullyCoh unavailable", a.InstName))
-	}
-	hotLines := s.HotLines()
-	plan := acc.NewPlan(a.Spec, buf.Bytes, rng)
-	var meter Meter // stays on the stack: callees never retain it
-	start := p.Now()
-
-	var cur, next acc.ChunkPlan
-	var comm sim.Cycles
-	chunks := 0
-
-	hasCur := plan.Next(&cur)
-	fetchIssue := start
-	var fetchDone sim.Cycles
-	if hasCur {
-		fetchDone = s.doTransfersSplit(a, buf, cur.Reads, hot, cold, hotLines, false, start, &meter)
-	}
-	prevComputeDone := start
-	lastWriteDone := start
-
-	for hasCur {
-		chunks++
-		computeStart := fetchDone
-		if prevComputeDone > computeStart {
-			computeStart = prevComputeDone
-		}
-		computeDone := computeStart + cur.Compute
-		comm += fetchDone - fetchIssue
-
-		// Prefetch the next chunk while this one computes.
-		hasNext := plan.Next(&next)
-		var nextIssue, nextDone sim.Cycles
-		if hasNext {
-			nextIssue = computeStart
-			nextDone = s.doTransfersSplit(a, buf, next.Reads, hot, cold, hotLines, false, nextIssue, &meter)
-		}
-
-		if len(cur.Writes) > 0 {
-			wDone := s.doTransfersSplit(a, buf, cur.Writes, hot, cold, hotLines, true, computeDone, &meter)
-			comm += wDone - computeDone
-			if wDone > lastWriteDone {
-				lastWriteDone = wDone
-			}
-		}
-		prevComputeDone = computeDone
-		// Yield on the same virtual-time budget as RunAccelerator.
 		if computeDone-p.Now() > yieldBudget {
 			p.WaitUntil(computeDone)
 		}
