@@ -403,29 +403,31 @@ func (e *Estimator) touch(st *threadState, n int64) {
 
 // sense fills ctx with the decision context the tracker would assemble:
 // the live threads in the tally are the other active invocations, each
-// at its most recent action's hot mode, all sharing one partition.
+// at its most recent action's hot mode, all sharing one partition. The
+// fields are assigned in place (a composite literal would be built in a
+// temporary and copied, once per decision); every field it does not
+// sense is zeroed, so ctx equals a freshly built literal.
 func (e *Estimator) sense(ctx *esp.Context, ai int, footprint int64, live *tally) {
 	cfg := e.ex.Config()
 	nonCoh := live.modes[soc.NonCohDMA]
 	toLLC := live.modes[soc.LLCCohDMA] + live.modes[soc.CohDMA] + live.modes[soc.FullyCoh]
-	*ctx = esp.Context{
-		Acc:                  &e.tiles[ai],
-		Available:            e.avail[ai],
-		FootprintBytes:       footprint,
-		FullyCohActive:       live.modes[soc.FullyCoh],
-		NonCohPerTile:        float64(nonCoh),
-		ToLLCPerTile:         float64(toLLC),
-		TileFootprintBytes:   float64(footprint + live.footprint),
-		ActiveCount:          live.count,
-		ActiveNonCoh:         nonCoh,
-		ActiveLLCCoh:         live.modes[soc.LLCCohDMA],
-		ActiveCohDMA:         live.modes[soc.CohDMA],
-		ActiveFullyCoh:       live.modes[soc.FullyCoh],
-		ActiveFootprintBytes: live.footprint,
-		L2Bytes:              cfg.L2Bytes(),
-		LLCSliceBytes:        cfg.LLCSliceBytes(),
-		TotalLLCBytes:        cfg.TotalLLCBytes(),
-	}
+	ctx.Acc = &e.tiles[ai]
+	ctx.Available = e.avail[ai]
+	ctx.FootprintBytes = footprint
+	ctx.Partitions = nil
+	ctx.FullyCohActive = live.modes[soc.FullyCoh]
+	ctx.NonCohPerTile = float64(nonCoh)
+	ctx.ToLLCPerTile = float64(toLLC)
+	ctx.TileFootprintBytes = float64(footprint + live.footprint)
+	ctx.ActiveCount = live.count
+	ctx.ActiveNonCoh = nonCoh
+	ctx.ActiveLLCCoh = live.modes[soc.LLCCohDMA]
+	ctx.ActiveCohDMA = live.modes[soc.CohDMA]
+	ctx.ActiveFullyCoh = live.modes[soc.FullyCoh]
+	ctx.ActiveFootprintBytes = live.footprint
+	ctx.L2Bytes = cfg.L2Bytes()
+	ctx.LLCSliceBytes = cfg.LLCSliceBytes()
+	ctx.TotalLLCBytes = cfg.TotalLLCBytes()
 }
 
 // result fills r with the esp.Result of an estimated invocation. The

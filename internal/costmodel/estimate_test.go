@@ -481,3 +481,58 @@ func TestEstimatorTrainReportsErrors(t *testing.T) {
 		t.Fatalf("Run error %v, Train error %v: want the same validation error", errRun, errTrain)
 	}
 }
+
+// TestSenseMatchesFreshContext: sense assigns the scratch context's
+// fields in place, so a context reused across decisions — pre-filled
+// here with a non-zero value in every field, then sensed twice with
+// different inputs — must equal a freshly built literal of the second
+// reading: nothing from an earlier decision may survive.
+func TestSenseMatchesFreshContext(t *testing.T) {
+	est := testEstimator(t)
+	cfg := est.ex.Config()
+	var ctx esp.Context
+	v := reflect.ValueOf(&ctx).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		f := v.Field(i)
+		switch f.Kind() {
+		case reflect.Pointer:
+			f.Set(reflect.New(f.Type().Elem()))
+		case reflect.Slice:
+			f.Set(reflect.MakeSlice(f.Type(), 1, 1))
+		case reflect.Int, reflect.Int64:
+			f.SetInt(7)
+		case reflect.Float64:
+			f.SetFloat(7)
+		default:
+			t.Fatalf("esp.Context.%s: no non-zero filler for kind %s", v.Type().Field(i).Name, f.Kind())
+		}
+	}
+	first := tally{count: 1, footprint: 1 << 20}
+	first.modes[soc.FullyCoh] = 1
+	est.sense(&ctx, 0, 4096, &first)
+	second := tally{count: 4, footprint: 3 << 20}
+	second.modes[soc.NonCohDMA] = 2
+	second.modes[soc.LLCCohDMA] = 1
+	second.modes[soc.CohDMA] = 1
+	ai := len(cfg.Accs) - 1
+	est.sense(&ctx, ai, 8192, &second)
+	want := esp.Context{
+		Acc:                  &est.tiles[ai],
+		Available:            est.avail[ai],
+		FootprintBytes:       8192,
+		NonCohPerTile:        2,
+		ToLLCPerTile:         2,
+		TileFootprintBytes:   8192 + 3<<20,
+		ActiveCount:          4,
+		ActiveNonCoh:         2,
+		ActiveLLCCoh:         1,
+		ActiveCohDMA:         1,
+		ActiveFootprintBytes: 3 << 20,
+		L2Bytes:              cfg.L2Bytes(),
+		LLCSliceBytes:        cfg.LLCSliceBytes(),
+		TotalLLCBytes:        cfg.TotalLLCBytes(),
+	}
+	if !reflect.DeepEqual(ctx, want) {
+		t.Fatalf("sensed context\n%+v\nwant\n%+v", ctx, want)
+	}
+}

@@ -10,6 +10,7 @@ import (
 	"cohmeleon/internal/costmodel"
 	"cohmeleon/internal/faultinject"
 	"cohmeleon/internal/policy"
+	"cohmeleon/internal/scenario"
 	"cohmeleon/internal/soc"
 	"cohmeleon/internal/store"
 	"cohmeleon/internal/workload"
@@ -193,7 +194,7 @@ func loadOrFitModel(ctx context.Context, opt Options, key runKey) (*costmodel.Mo
 // simulator (memoized and persisted like any static run) and fits the
 // analytical model against every invocation, in fixed order.
 func fitModel(ctx context.Context, opt Options) (*costmodel.Model, error) {
-	scens, err := sampleScenarios(opt, calibInvocations, calibScenarios, calibSeed(opt))
+	scens, err := scenario.Sample(scenarioSpec(opt, calibInvocations), calibScenarios, calibSeed(opt))
 	if err != nil {
 		return nil, fmt.Errorf("experiment: calibration scenarios: %w", err)
 	}

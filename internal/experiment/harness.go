@@ -45,17 +45,17 @@ func withProtocol(cfg *soc.Config, opt Options) *soc.Config {
 	return cfg
 }
 
-// sampleScenarios draws n scenarios of the default spec, each sized to
-// minInv invocations. A -protocol selection becomes a single-entry
-// axis, which pins every sampled SoC's protocol without consuming an
-// RNG draw, so the topology stream is unchanged.
-func sampleScenarios(opt Options, minInv, n int, seed uint64) ([]scenario.Scenario, error) {
+// scenarioSpec is the default scenario spec with each scenario sized
+// to minInv invocations. A -protocol selection becomes a single-entry
+// axis, which pins every drawn SoC's protocol without consuming an RNG
+// draw, so the topology stream is unchanged.
+func scenarioSpec(opt Options, minInv int) scenario.Spec {
 	spec := scenario.DefaultSpec()
 	spec.MinInvocations = minInv
 	if opt.Protocol != "" {
 		spec.SoC.Protocols = []string{opt.Protocol}
 	}
-	return scenario.Sample(spec, n, seed)
+	return spec
 }
 
 // build builds a fresh SoC (hardware state never survives between

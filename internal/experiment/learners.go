@@ -9,6 +9,7 @@ import (
 	"cohmeleon/internal/costmodel"
 	"cohmeleon/internal/learn"
 	"cohmeleon/internal/policy"
+	"cohmeleon/internal/scenario"
 	"cohmeleon/internal/soc"
 	"cohmeleon/internal/stats"
 	"cohmeleon/internal/workload"
@@ -156,7 +157,7 @@ func Learners(opt Options) (*LearnersResult, error) {
 		return nil, err
 	}
 	ctx := opt.ctx()
-	scens, err := sampleScenarios(opt, opt.MinInvocations, opt.LearnerScenarios, opt.Seed)
+	scens, err := scenario.Sample(scenarioSpec(opt, opt.MinInvocations), opt.LearnerScenarios, opt.Seed)
 	if err != nil {
 		return nil, err
 	}

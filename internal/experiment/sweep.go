@@ -307,13 +307,15 @@ func sweepCellFromImage(img *sweepCellImage) (sweepPerScenario, error) {
 }
 
 // Sweep runs the randomized scenario grid. Scenarios fan out on the
-// worker pool; each is self-contained (own SoC, policies, seeds) and
-// results are collected by index, then aggregated in index order, so
-// the report is byte-identical for any worker count. With a cache
-// directory configured every completed scenario checkpoints, and with
-// Options.Resume the checkpointed cells replay instead of re-running —
-// interrupt, resume, and uninterrupted runs all render byte-identical
-// reports.
+// worker pool; each cell draws its own scenario (scenario.Draw is a
+// pure function of spec, index and seed), so no scenario list lives for
+// the grid and replayed cells draw nothing. Each cell is self-contained
+// (own SoC, policies, seeds) and results are collected by index, then
+// aggregated in index order, so the report is byte-identical for any
+// worker count. With a cache directory configured every completed
+// scenario checkpoints, and with Options.Resume the checkpointed cells
+// replay instead of re-running — interrupt, resume, and uninterrupted
+// runs all render byte-identical reports.
 func Sweep(opt Options) (*SweepResult, error) {
 	if err := opt.Validate(); err != nil {
 		return nil, err
@@ -333,10 +335,12 @@ func Sweep(opt Options) (*SweepResult, error) {
 		loaded, loadedRaw = st, raw
 	}
 
-	scens, err := sampleScenarios(opt, opt.MinInvocations, opt.SweepScenarios, opt.Seed)
-	if err != nil {
+	// The spec is checked before calibration; the cells draw from it.
+	spec := scenarioSpec(opt, opt.MinInvocations)
+	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
+	n := opt.SweepScenarios
 
 	// Non-full fidelity calibrates (or revives) the analytical model
 	// before the fan-out: one model serves every cell, and its
@@ -345,6 +349,7 @@ func Sweep(opt Options) (*SweepResult, error) {
 	fid := opt.fidelityMode()
 	var model *costmodel.Model
 	if fid != FidelityFull {
+		var err error
 		if model, err = calibratedModel(ctx, opt); err != nil {
 			return nil, fmt.Errorf("sweep: %w", err)
 		}
@@ -358,7 +363,7 @@ func Sweep(opt Options) (*SweepResult, error) {
 		return nil, err
 	}
 
-	perScenario := make([]sweepPerScenario, len(scens))
+	perScenario := make([]sweepPerScenario, n)
 	load := func(i int) bool {
 		var img sweepCellImage
 		if !ck.load(i, &img) {
@@ -371,21 +376,25 @@ func Sweep(opt Options) (*SweepResult, error) {
 			return false
 		}
 		perScenario[i] = cell
-		opt.cellDone(CellEvent{Experiment: "sweep", Index: i, Total: len(scens), Replayed: true})
+		opt.cellDone(CellEvent{Experiment: "sweep", Index: i, Total: n, Replayed: true})
 		return true
 	}
 	compute := func(i int) error {
-		res, err := sweepCell(ctx, scens[i], opt, loaded, fid, model)
+		sc, err := scenario.Draw(spec, i, opt.Seed)
+		if err != nil {
+			return err
+		}
+		res, err := sweepCell(ctx, sc, opt, loaded, fid, model)
 		perScenario[i] = res
 		if err == nil {
 			if img, ierr := res.image(); ierr == nil {
 				ck.save(i, img)
 			}
-			opt.cellDone(CellEvent{Experiment: "sweep", Index: i, Total: len(scens)})
+			opt.cellDone(CellEvent{Experiment: "sweep", Index: i, Total: n})
 		}
 		return err
 	}
-	if err := runGrid(opt, ck, len(scens), load, compute); err != nil {
+	if err := runGrid(opt, ck, n, load, compute); err != nil {
 		return nil, err
 	}
 

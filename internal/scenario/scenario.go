@@ -90,50 +90,58 @@ func (sc Scenario) App(offset uint64) (*workload.App, error) {
 
 // Sample draws n scenarios deterministically from (spec, seed): the
 // same pair always yields the same set, and sets drawn from different
-// seeds are disjoint with overwhelming probability. Every scenario's
-// SoC passes soc.Config.Validate, its class set is filtered to what
-// the geometry can actually sample (making workload generation
-// infallible for every later App offset, not just a spot-checked one),
-// and one application instance is built and validated as a smoke
-// check — so downstream sweeps never trip build or geometry errors
-// mid-grid.
+// seeds are disjoint with overwhelming probability. Scenario i is
+// Draw(spec, i, seed), so a caller that visits scenarios one at a time
+// can draw each where it is used instead of holding the set. No
+// application is built here: feasibleClasses already makes every App
+// offset of every scenario generate, so a smoke-built app would prove
+// nothing more.
 func Sample(spec Spec, n int, seed uint64) ([]Scenario, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
 	if n < 1 {
 		return nil, fmt.Errorf("scenario: sample count %d must be ≥ 1", n)
 	}
 	out := make([]Scenario, 0, n)
 	for i := 0; i < n; i++ {
-		scSeed := seed + uint64(i)*seedStride
-		cfg, err := soc.RandomConfig(fmt.Sprintf("scenario-%03d", i), spec.SoC, scSeed)
+		sc, err := Draw(spec, i, seed)
 		if err != nil {
-			return nil, fmt.Errorf("scenario %d: %w", i, err)
-		}
-		rng := sim.NewRNG(scSeed ^ 0x5ce7a110)
-		classes, err := feasibleClasses(drawClasses(spec.Classes, rng), cfg)
-		if err != nil {
-			return nil, fmt.Errorf("scenario %d (%s): %w", i, cfg.Name, err)
-		}
-		gen := workload.GenConfig{
-			MaxThreads:     1 + rng.Intn(spec.MaxThreads),
-			MaxChain:       1 + rng.Intn(spec.MaxChain),
-			MaxLoops:       1 + rng.Intn(spec.MaxLoops),
-			MinInvocations: spec.MinInvocations,
-			Classes:        classes,
-		}
-		sc := Scenario{Index: i, Cfg: cfg, Gen: gen, Seed: scSeed}
-		app, err := sc.App(0)
-		if err != nil {
-			return nil, fmt.Errorf("scenario %d (%s): %w", i, cfg.Name, err)
-		}
-		if err := app.Validate(cfg); err != nil {
-			return nil, fmt.Errorf("scenario %d (%s): %w", i, cfg.Name, err)
+			return nil, err
 		}
 		out = append(out, sc)
 	}
 	return out, nil
+}
+
+// Draw returns scenario i of the set Sample(spec, n, seed) draws, for
+// any n > i: a pure function of (spec, i, seed). Its SoC passes
+// soc.Config.Validate, and its class set is filtered to what the
+// geometry can actually sample (feasibleClasses), which makes workload
+// generation infallible for every App offset — so downstream sweeps
+// never trip build or geometry errors mid-grid.
+func Draw(spec Spec, i int, seed uint64) (Scenario, error) {
+	if err := spec.Validate(); err != nil {
+		return Scenario{}, err
+	}
+	if i < 0 {
+		return Scenario{}, fmt.Errorf("scenario: index %d must be ≥ 0", i)
+	}
+	scSeed := seed + uint64(i)*seedStride
+	cfg, err := soc.RandomConfig(fmt.Sprintf("scenario-%03d", i), spec.SoC, scSeed)
+	if err != nil {
+		return Scenario{}, fmt.Errorf("scenario %d: %w", i, err)
+	}
+	rng := sim.NewRNG(scSeed ^ 0x5ce7a110)
+	classes, err := feasibleClasses(drawClasses(spec.Classes, rng), cfg)
+	if err != nil {
+		return Scenario{}, fmt.Errorf("scenario %d (%s): %w", i, cfg.Name, err)
+	}
+	gen := workload.GenConfig{
+		MaxThreads:     1 + rng.Intn(spec.MaxThreads),
+		MaxChain:       1 + rng.Intn(spec.MaxChain),
+		MaxLoops:       1 + rng.Intn(spec.MaxLoops),
+		MinInvocations: spec.MinInvocations,
+		Classes:        classes,
+	}
+	return Scenario{Index: i, Cfg: cfg, Gen: gen, Seed: scSeed}, nil
 }
 
 // feasibleClasses drops classes the config's memory geometry cannot

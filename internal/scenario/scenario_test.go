@@ -1,8 +1,11 @@
 package scenario
 
 import (
+	"reflect"
+	"strings"
 	"testing"
 
+	"cohmeleon/internal/soc"
 	"cohmeleon/internal/workload"
 )
 
@@ -52,33 +55,67 @@ func TestSampleSeedsDiffer(t *testing.T) {
 	}
 }
 
+// TestDrawMatchesSample: Draw is the set's i-th element for any set
+// size, so a grid may draw each scenario in the cell that uses it.
+func TestDrawMatchesSample(t *testing.T) {
+	spec := DefaultSpec()
+	spec.MinInvocations = 20
+	for _, seed := range []uint64{1, 42, 1042} {
+		set, err := Sample(spec, 64, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, want := range set {
+			got, err := Draw(spec, i, seed)
+			if err != nil {
+				t.Fatalf("seed %d scenario %d: %v", seed, i, err)
+			}
+			if got.Index != i || got.Seed != want.Seed || got.Cfg.Name != want.Cfg.Name ||
+				!reflect.DeepEqual(got.Gen, want.Gen) || configContent(got.Cfg) != configContent(want.Cfg) {
+				t.Fatalf("seed %d: Draw(%d) = %+v, Sample[%d] = %+v", seed, i, got, i, want)
+			}
+		}
+	}
+	if _, err := Draw(spec, -1, 1); err == nil {
+		t.Fatal("negative scenario index accepted")
+	}
+}
+
+// configContent is a config's identity as the run store keys it
+// (accelerator specs hold reuse functions, which reflect cannot compare).
+func configContent(cfg *soc.Config) string {
+	var b strings.Builder
+	cfg.HashContent(&b)
+	return b.String()
+}
+
+// TestScenarioAppsValidateAndDiffer guards the draw's promise that
+// every App offset generates: it builds and validates the apps of many
+// drawn scenarios at the offsets the experiments use.
 func TestScenarioAppsValidateAndDiffer(t *testing.T) {
 	spec := DefaultSpec()
 	spec.MinInvocations = 20
-	scens, err := Sample(spec, 4, 7)
+	scens, err := Sample(spec, 256, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, sc := range scens {
-		train, err := sc.App(1000)
-		if err != nil {
-			t.Fatalf("%s: %v", sc.Cfg.Name, err)
+		var apps [3]*workload.App
+		for k, offset := range []uint64{0, 1000, 2000} {
+			app, err := sc.App(offset)
+			if err != nil {
+				t.Fatalf("%s offset %d: %v", sc.Cfg.Name, offset, err)
+			}
+			if err := app.Validate(sc.Cfg); err != nil {
+				t.Fatalf("%s offset %d: %v", sc.Cfg.Name, offset, err)
+			}
+			if app.Invocations() < spec.MinInvocations {
+				t.Fatalf("%s offset %d: undersized app (%d invocations)", sc.Cfg.Name, offset, app.Invocations())
+			}
+			apps[k] = app
 		}
-		test, err := sc.App(2000)
-		if err != nil {
-			t.Fatalf("%s: %v", sc.Cfg.Name, err)
-		}
-		if err := train.Validate(sc.Cfg); err != nil {
-			t.Fatalf("%s train: %v", sc.Cfg.Name, err)
-		}
-		if err := test.Validate(sc.Cfg); err != nil {
-			t.Fatalf("%s test: %v", sc.Cfg.Name, err)
-		}
-		if train.Name == test.Name {
+		if apps[1].Name == apps[2].Name {
 			t.Fatalf("%s: train and test instances identical", sc.Cfg.Name)
-		}
-		if train.Invocations() < spec.MinInvocations {
-			t.Fatalf("%s: undersized app (%d invocations)", sc.Cfg.Name, train.Invocations())
 		}
 	}
 }
