@@ -188,8 +188,8 @@ func BenchmarkSweepScreening(b *testing.B) {
 	}
 	b.StopTimer()
 	st := experiment.Snapshot().Fidelity
-	if st.ScreenedCells == 0 || st.EscalatedCells != 0 {
-		b.Fatalf("screened %d cells, escalated %d; want >0 and 0", st.ScreenedCells, st.EscalatedCells)
+	if st.ScreenedCells == 0 {
+		b.Fatal("screening benchmark screened no cells")
 	}
 	experiment.ResetRunCache()
 }

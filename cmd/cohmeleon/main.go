@@ -79,7 +79,7 @@ func runExperiments(args []string) error {
 	schedule := fs.String("schedule", "", "agent ε/α schedule for training experiments (omit for the paper's \"linear\")")
 	proto := fs.String("protocol", "", "coherence-protocol stack for every simulated SoC (omit for the default \"mesi\")")
 	fineGrain := fs.Bool("finegrain", false, "widen the agent's action space with per-region (hot, cold) mode splits")
-	fidelity := fs.String("fidelity", "", "sweep/learners cell fidelity: full (default; cycle-accurate), screening (calibrated analytical model), auto (screen, escalate ambiguous cells)")
+	fidelity := fs.String("fidelity", "", "sweep/learners cell fidelity: full (default; cycle-accurate) or screening (calibrated analytical model)")
 	cacheDir := fs.String("cache-dir", "", "persist content-keyed static-policy run results under this directory (reports are byte-identical with or without it)")
 	resume := fs.Bool("resume", false, "sweep/learners: replay cells checkpointed under -cache-dir by an interrupted identical run")
 	shared := fs.Bool("shared", false, "sweep/learners: shard grid cells with other -shared processes on the same -cache-dir via lease files")
@@ -441,9 +441,7 @@ run flags:
   -fidelity MODE            sweep/learners cell fidelity: full (default,
                             cycle-accurate), screening (every cell estimated by
                             the calibrated analytical cost model; reports carry
-                            the model's held-out error bounds), auto (screen,
-                            then re-simulate only cells whose estimates are too
-                            close to call at the model's demonstrated accuracy)
+                            the model's held-out error bounds)
   -cache-dir DIR            persist static-policy run results (content-keyed);
                             repeated regeneration skips those simulations, and
                             reports stay byte-identical either way

@@ -6,8 +6,8 @@
 // least squares against cycle-accurate simulation results. Screening a
 // (scenario × policy) grid cell through the model costs microseconds
 // where full simulation costs seconds; the fitted model carries its
-// held-out calibration error so consumers can decide which cells are
-// close enough to escalate back to the cycle-accurate simulator.
+// held-out calibration error so every screened result can report how
+// far it may sit from the cycle-accurate simulator's.
 //
 // Everything here is deterministic: feature extraction, fitting, and
 // estimation are pure functions evaluated in fixed iteration order, so

@@ -9,7 +9,7 @@ import (
 // percentage error and the maximum relative error of the execution-time
 // estimate on the held-out samples, plus the split sizes. Every
 // screening report carries these so estimated numbers are honest about
-// their fidelity, and the auto mode uses MaxRel as the escalation band.
+// their fidelity.
 type Bounds struct {
 	// MAPE is mean(|est-true|/true) over held-out samples, in [0, ∞).
 	MAPE float64
@@ -20,8 +20,8 @@ type Bounds struct {
 	// estimate and truth, and the relative error of the sums is taken.
 	// Per-invocation noise (contention, queueing position) averages out
 	// in sums, so these bound the error of the whole-app quantities the
-	// experiments actually compare — the escalation band is built on
-	// AggMax, not on the much looser per-invocation MaxRel.
+	// experiments actually compare far more tightly than the
+	// per-invocation MaxRel does.
 	AggMAPE float64
 	AggMax  float64
 	// FitSamples and HeldOut are the calibration split sizes.
@@ -80,8 +80,8 @@ const HoldEvery = 5
 // Fit calibrates a model by ridge-stabilized weighted least squares
 // over the samples, holding out every HoldEvery-th sample for the error
 // bounds. Each sample is weighted by the inverse of its target, so the
-// fit minimizes relative error — the quantity MAPE and the escalation
-// band are defined over — rather than letting the largest invocations
+// fit minimizes relative error — the quantity MAPE and MaxRel are
+// defined over — rather than letting the largest invocations
 // dominate. Iteration order is fixed, so identical inputs yield
 // bit-identical coefficients. At least 4×NumFeatures samples are
 // required for a meaningful fit.

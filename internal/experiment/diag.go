@@ -27,7 +27,6 @@ const (
 	modelMemoHits
 	modelDiskHits
 	screenedCells
-	escalatedCells
 	leaseAcquired
 	leaseRenewed
 	leaseExpired
@@ -121,8 +120,8 @@ type FidelityStats struct {
 	ModelDiskHits int64
 	// ScreenedCells counts grid cells evaluated analytically.
 	ScreenedCells int64
-	// EscalatedCells counts screened cells auto escalated to
-	// cycle-accurate simulation.
+	// EscalatedCells always reads 0: no fidelity mode re-runs screened
+	// cells any more. It stays because /statsz and perfbench report it.
 	EscalatedCells int64
 }
 
@@ -163,7 +162,7 @@ func Snapshot() StatsSnapshot {
 		Retry:      RetryStats{CellRetries: v(cellRetries)},
 		Fidelity: FidelityStats{
 			ModelFits: v(modelFits), ModelMemoHits: v(modelMemoHits), ModelDiskHits: v(modelDiskHits),
-			ScreenedCells: v(screenedCells), EscalatedCells: v(escalatedCells),
+			ScreenedCells: v(screenedCells),
 		},
 		Lease: LeaseStats{
 			Acquired: v(leaseAcquired), Renewed: v(leaseRenewed), Expired: v(leaseExpired),

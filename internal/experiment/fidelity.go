@@ -23,26 +23,19 @@ import (
 // estimator: internal/costmodel's analytical model, calibrated by least
 // squares against cycle-accurate runs of a small pinned calibration
 // grid (drawn through the same content-keyed run store, so the
-// calibration simulations dedup and persist like any other run). Auto
-// fidelity screens first, then re-runs the contenders under the
-// simulator: the screened values within the model's held-out error band
-// of the best, wherever at least two are, so the screened winner cannot
-// be trusted. A sweep cell re-runs whole when its policies contend; a
-// learners cell re-runs when its stack contends within its scenario.
-// Every non-full report carries the calibration's held-out error
-// bounds. This file holds the calibration, the escalation rule and the
-// fidelity notes.
+// calibration simulations dedup and persist like any other run).
+// Screened reports carry the calibration's held-out error bounds. This
+// file holds the calibration and the fidelity notes.
 
 // Fidelity mode names (Options.Fidelity; empty resolves to full).
 const (
 	FidelityFull      = "full"
 	FidelityScreening = "screening"
-	FidelityAuto      = "auto"
 )
 
 // ValidFidelities lists the accepted mode names for error messages.
 func ValidFidelities() string {
-	return fmt.Sprintf("%s, %s, %s", FidelityFull, FidelityScreening, FidelityAuto)
+	return fmt.Sprintf("%s, %s", FidelityFull, FidelityScreening)
 }
 
 // fidelityMode resolves the option's fidelity (empty means full).
@@ -262,57 +255,12 @@ func harvestSamples(ex *costmodel.Extractor, app *workload.App, res *workload.Ap
 	return out
 }
 
-// escalationBand is the relative slack within which two screened
-// estimates are indistinguishable: each normalized cell value is a
-// ratio of two whole-app model estimates, so their worst-case relative
-// errors compound and the band is twice the held-out maximum of the
-// per-run aggregate error (not the far looser per-invocation maximum —
-// invocation noise averages out in the aggregates being compared).
-func escalationBand(m *costmodel.Model) float64 { return 2 * m.Err.AggMax }
-
-// contenders is auto mode's one escalation rule. It marks the screened
-// exec values that lie within the error band of the best, or returns
-// nil when fewer than two do: only then can the screened winner be told
-// from the runner-up at the model's demonstrated accuracy.
-func contenders(execs []float64, band float64) []bool {
-	if len(execs) < 2 {
-		return nil
-	}
-	best := execs[0]
-	for _, e := range execs[1:] {
-		if e < best {
-			best = e
-		}
-	}
-	marks := make([]bool, len(execs))
-	within := 0
-	for i, e := range execs {
-		if e <= best*(1+band) {
-			marks[i] = true
-			within++
-		}
-	}
-	if within < 2 {
-		return nil
-	}
-	return marks
-}
-
-// fidelityNotes renders the calibration error bounds every non-full
-// report carries, plus the mode's coverage line.
-func fidelityNotes(fid string, m *costmodel.Model, escalated, total int) []string {
-	notes := []string{fmt.Sprintf(
+// fidelityNotes renders the calibration error bounds every screened
+// report carries, plus its coverage line.
+func fidelityNotes(m *costmodel.Model, total int) []string {
+	return []string{fmt.Sprintf(
 		"fidelity=%s: analytical cost model calibrated on %d cycle-accurate samples (held-out: per-invocation MAPE %.1f%%/max %.1f%% on %d samples; per-run aggregate MAPE %.1f%%/max %.1f%%)",
-		fid, m.Err.FitSamples+m.Err.HeldOut, 100*m.Err.MAPE, 100*m.Err.MaxRel, m.Err.HeldOut,
-		100*m.Err.AggMAPE, 100*m.Err.AggMax)}
-	switch fid {
-	case FidelityScreening:
-		notes = append(notes, fmt.Sprintf(
-			"all %d cells estimated analytically; no cycle-accurate verification", total))
-	case FidelityAuto:
-		notes = append(notes, fmt.Sprintf(
-			"auto escalated %d/%d cells to cycle-accurate simulation (screened estimates within the error band of the best)",
-			escalated, total))
-	}
-	return notes
+		FidelityScreening, m.Err.FitSamples+m.Err.HeldOut, 100*m.Err.MAPE, 100*m.Err.MaxRel, m.Err.HeldOut,
+		100*m.Err.AggMAPE, 100*m.Err.AggMax),
+		fmt.Sprintf("all %d cells estimated analytically; no cycle-accurate verification", total)}
 }

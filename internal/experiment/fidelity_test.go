@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -16,7 +15,8 @@ import (
 // Pinned held-out accuracy floor for the calibrated cost model on the
 // test seed: regressions in the feature set, the fit, or the calibration
 // grid that blow past these bounds fail here (and in the CI screening
-// smoke, which runs this test), not silently in a wide escalation band.
+// smoke, which runs this test), not silently in the error bounds a
+// screened report prints.
 const (
 	pinnedMAPE    = 0.60 // per-invocation mean relative error
 	pinnedAggMAPE = 0.45 // per-run aggregate mean relative error
@@ -37,11 +37,11 @@ func screeningSweepOptions() Options {
 }
 
 // nonFullFidelities are the modes that run cells under the estimator.
-var nonFullFidelities = []string{FidelityScreening, FidelityAuto}
+var nonFullFidelities = []string{FidelityScreening}
 
-// TestScreeningSweepDeterministicAcrossWorkers: a screened or auto
-// sweep report must be byte-identical whether calibration, screening
-// and escalation run sequentially or on eight workers — the same
+// TestScreeningSweepDeterministicAcrossWorkers: a screened sweep
+// report must be byte-identical whether calibration and screening run
+// sequentially or on eight workers — the same
 // property the cycle-accurate harness guarantees, extended to the
 // analytical path.
 func TestScreeningSweepDeterministicAcrossWorkers(t *testing.T) {
@@ -97,29 +97,6 @@ func TestScreeningLearnersDeterministicAcrossWorkers(t *testing.T) {
 				t.Fatalf("%s report missing the fidelity note:\n%s", fid, seq)
 			}
 		})
-	}
-}
-
-// TestContenders pins auto mode's escalation rule: the values within
-// the band of the best are marked, and nil means there is a clear
-// winner (fewer than two values in the band).
-func TestContenders(t *testing.T) {
-	for _, tc := range []struct {
-		name  string
-		execs []float64
-		band  float64
-		want  []bool
-	}{
-		{"one value", []float64{0.8}, 0.5, nil},
-		{"all tied", []float64{0.9, 0.9, 0.9}, 0.1, []bool{true, true, true}},
-		{"clear winner", []float64{0.5, 1.0, 0.9}, 0.2, nil},
-		{"zero band, tie", []float64{0.7, 0.7, 0.8}, 0, []bool{true, true, false}},
-		{"zero band, no tie", []float64{0.7, 0.71, 0.8}, 0, nil},
-		{"best at a later index", []float64{1.0, 0.95, 0.6, 0.65}, 0.1, []bool{false, false, true, true}},
-	} {
-		if got := contenders(tc.execs, tc.band); !slices.Equal(got, tc.want) || (got == nil) != (tc.want == nil) {
-			t.Errorf("%s: contenders(%v, %v) = %v, want %v", tc.name, tc.execs, tc.band, got, tc.want)
-		}
 	}
 }
 
@@ -264,60 +241,21 @@ func TestVerifyQuarantinesCorruptCostModel(t *testing.T) {
 	}
 }
 
-// sweepWinner returns the policy with the lowest aggregate normalized
-// execution time.
-func sweepWinner(rows []SweepRow) string {
-	best := rows[0]
-	for _, r := range rows[1:] {
-		if r.NormExec < best.NormExec {
-			best = r
-		}
-	}
-	return best.Policy
-}
-
-// TestAutoSweepMatchesFullWinners is the auto-mode acceptance pin: on
-// the pinned test grid, auto fidelity must report the same per-policy
-// winner as full fidelity — escalation has to catch every cell where
-// the screened ordering cannot be trusted.
-func TestAutoSweepMatchesFullWinners(t *testing.T) {
-	fidelityTestSetup(t)
-	full, err := Sweep(sweepOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	autoOpt := sweepOptions()
-	autoOpt.Fidelity = FidelityAuto
-	auto, err := Sweep(autoOpt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fw, aw := sweepWinner(full.Rows), sweepWinner(auto.Rows); fw != aw {
-		t.Fatalf("auto fidelity winner %q differs from full fidelity winner %q", aw, fw)
-	}
-	if len(full.Notes) != 0 {
-		t.Fatalf("full-fidelity report carries fidelity notes: %v", full.Notes)
-	}
-	if !strings.Contains(auto.Render(), "fidelity=auto") {
-		t.Fatal("auto report missing the fidelity note")
-	}
-}
-
 // TestFidelityOptionsValidate: unknown modes and screened Q-table
 // exports are rejected up front, with the valid set named.
 func TestFidelityOptionsValidate(t *testing.T) {
-	opt := Tiny()
-	opt.Fidelity = "approximate"
-	err := opt.Validate()
-	if err == nil {
-		t.Fatal("unknown fidelity accepted")
-	}
-	for _, want := range []string{FidelityFull, FidelityScreening, FidelityAuto} {
-		if !strings.Contains(err.Error(), want) {
-			t.Fatalf("error %q does not list valid mode %q", err, want)
+	for _, fid := range []string{"approximate", "auto"} {
+		opt := Tiny()
+		opt.Fidelity = fid
+		err := opt.Validate()
+		if err == nil {
+			t.Fatalf("unknown fidelity %q accepted", fid)
+		}
+		if want := "(valid: full, screening)"; !strings.Contains(err.Error(), want) {
+			t.Fatalf("error %q does not name exactly the valid modes %s", err, want)
 		}
 	}
-	opt = Tiny()
+	opt := Tiny()
 	opt.Fidelity = FidelityScreening
 	opt.QTableSave = "trained.qtable"
 	if err := opt.Validate(); err == nil {
@@ -344,7 +282,7 @@ func TestFidelityStatsSurface(t *testing.T) {
 		t.Fatalf("snapshot counts %d screened cells, want 2", st.ScreenedCells)
 	}
 	if st.EscalatedCells != 0 {
-		t.Fatalf("screening mode escalated %d cells, want 0", st.EscalatedCells)
+		t.Fatalf("snapshot counts %d escalated cells, want 0: no mode escalates", st.EscalatedCells)
 	}
 }
 

@@ -86,17 +86,15 @@ func TestGoldenFigure8Report(t *testing.T) {
 	}
 }
 
-// TestGoldenNonFullFidelity pins the screened and auto reports of both
-// grid experiments at Tiny(). The worker-count determinism tests only
-// compare a run with itself; these bytes hold every non-full path —
-// calibration, analytical training and testing, escalation and the
-// fidelity notes — against the reports the two-fidelity code produced.
+// TestGoldenNonFullFidelity pins the screened reports of both grid
+// experiments at Tiny(). The worker-count determinism tests only
+// compare a run with itself; these bytes hold the screening path —
+// calibration, analytical training and testing, and the fidelity
+// notes — against the reports the two-fidelity code produced.
 func TestGoldenNonFullFidelity(t *testing.T) {
 	for _, tc := range []struct{ exp, fid string }{
 		{"sweep", FidelityScreening},
-		{"sweep", FidelityAuto},
 		{"learners", FidelityScreening},
-		{"learners", FidelityAuto},
 	} {
 		t.Run(tc.exp+"/"+tc.fid, func(t *testing.T) {
 			fidelityTestSetup(t)

@@ -3,7 +3,6 @@ package experiment
 import (
 	"crypto/sha256"
 	"fmt"
-	"sync"
 
 	"cohmeleon/internal/core"
 	"cohmeleon/internal/costmodel"
@@ -94,8 +93,8 @@ type LearnerRow struct {
 type LearnersResult struct {
 	Scenarios []SweepScenarioInfo
 	Rows      []LearnerRow
-	// Notes carries the fidelity provenance of non-full runs (calibration
-	// error bounds, escalation coverage); empty — and the rendered report
+	// Notes carries the fidelity provenance of screened runs (calibration
+	// error bounds, coverage); empty — and the rendered report
 	// byte-identical to before the field existed — at full fidelity.
 	Notes []string
 }
@@ -104,15 +103,14 @@ type LearnersResult struct {
 type learnerCell struct {
 	exec, mem float64
 	decisions [soc.NumModes]int64
-	// screened marks analytical estimates; escalated marks auto cells
-	// re-run cycle-accurately after an ambiguous screen.
-	screened  bool
-	escalated bool
 }
 
 // learnerCellImage is the persisted (exported-field) form of one cell.
-// Screened/Escalated are zero-valued in pre-existing checkpoints, which
-// gob decodes fine; full-fidelity cells never set them.
+// Screened marks a screening-fidelity cell; it is zero-valued in
+// pre-existing checkpoints, which gob decodes fine, and full-fidelity
+// cells never set it. Escalated is always false: it marked cells of a
+// removed mode that re-ran screened cells cycle-accurately, and stays
+// so that checkpoint bytes do not change.
 type learnerCellImage struct {
 	Exec      float64
 	Mem       float64
@@ -185,8 +183,6 @@ func Learners(opt Options) (*LearnersResult, error) {
 	// fig7's concurrent trials share one test app — pick the scenario's
 	// evaluator, and run the normalization baseline under it: a screened
 	// cell must normalize against the same model that produced it.
-	// Escalated auto cells fetch the cycle-accurate baseline lazily
-	// through the memoized run path, deduped across cells.
 	type prep struct {
 		train, test *workload.App
 		ev          evaluator
@@ -214,11 +210,12 @@ func Learners(opt Options) (*LearnersResult, error) {
 		return nil, err
 	}
 
-	// trial trains one stack's agent under ev and measures it frozen,
-	// normalized to baseline. Seeds mirror the sweep's per-scenario
-	// derivation, so the "q+linear" row of a 1-scenario run matches the
-	// sweep's "cohmeleon" measurement on the same scenario.
-	trial := func(ev evaluator, i int, baseline *workload.AppResult) (learnerCell, error) {
+	// trial trains one stack's agent under its scenario's evaluator and
+	// measures it frozen, normalized to the scenario's baseline. Seeds
+	// mirror the sweep's per-scenario derivation, so the "q+linear" row
+	// of a 1-scenario run matches the sweep's "cohmeleon" measurement on
+	// the same scenario.
+	trial := func(i int) (learnerCell, error) {
 		si, ki := i/len(stacks), i%len(stacks)
 		sc, st, p := scens[si], stacks[ki], &preps[si]
 		agentCfg := agentConfig(opt)
@@ -229,98 +226,39 @@ func Learners(opt Options) (*LearnersResult, error) {
 		if err != nil {
 			return learnerCell{}, err
 		}
-		if err := trainCohmeleon(ev, agent, p.train, opt.TrainIterations, sc.Seed+7); err != nil {
+		if err := trainCohmeleon(p.ev, agent, p.train, opt.TrainIterations, sc.Seed+7); err != nil {
 			return learnerCell{}, fmt.Errorf("%s: %s: training: %w", sc.Cfg.Name, st.Label(), err)
 		}
 		agent.ResetDecisions()
-		res, err := testPolicy(ev, agent, p.test, sc.Seed+3)
+		res, err := testPolicy(p.ev, agent, p.test, sc.Seed+3)
 		if err != nil {
 			return learnerCell{}, fmt.Errorf("%s: %s: %w", sc.Cfg.Name, st.Label(), err)
 		}
-		exec, mem := geoNormalized(res, baseline)
-		return learnerCell{exec: exec, mem: mem, decisions: agent.Decisions(), screened: fid != FidelityFull}, nil
-	}
-
-	// Auto screens a scenario lazily, the first time one of its cells
-	// computes, so fully replayed scenarios cost nothing: every stack of
-	// the scenario is screened serially, in stack order, and its
-	// contenders are marked for escalation — the same decision for any
-	// worker count. Cells outside the band keep their screened values;
-	// the contenders re-run under the simulator below.
-	cells := make([]learnerCell, len(scens)*len(stacks))
-	type screening struct {
-		once     sync.Once
-		cells    []learnerCell
-		escalate []bool // nil: a clear winner, nothing escalates
-		err      error
-	}
-	screens := make([]screening, len(scens))
-	screen := func(si int) *screening {
-		sg := &screens[si]
-		sg.once.Do(func() {
-			p := &preps[si]
-			sg.cells = make([]learnerCell, len(stacks))
-			execs := make([]float64, len(stacks))
-			for ki := range stacks {
-				if sg.cells[ki], sg.err = trial(p.ev, si*len(stacks)+ki, p.baseline); sg.err != nil {
-					return
-				}
-				bump(screenedCells, 1)
-				execs[ki] = sg.cells[ki].exec
-			}
-			sg.escalate = contenders(execs, escalationBand(model))
-		})
-		return sg
+		exec, mem := geoNormalized(res, p.baseline)
+		return learnerCell{exec: exec, mem: mem, decisions: agent.Decisions()}, nil
 	}
 
 	// Stage 2: the full grid.
+	cells := make([]learnerCell, len(scens)*len(stacks))
 	loadCell := func(i int) bool {
 		var img learnerCellImage
 		if !ck.load(i, &img) {
 			return false
 		}
-		cells[i] = learnerCell{exec: img.Exec, mem: img.Mem, decisions: img.Decisions,
-			screened: img.Screened, escalated: img.Escalated}
+		cells[i] = learnerCell{exec: img.Exec, mem: img.Mem, decisions: img.Decisions}
 		opt.cellDone(CellEvent{Experiment: "learners", Index: i, Total: len(cells), Replayed: true})
 		return true
 	}
 	computeCell := func(i int) error {
-		si, ki := i/len(stacks), i%len(stacks)
-		p := &preps[si]
 		var err error
-		switch {
-		case fid == FidelityAuto:
-			sg := screen(si)
-			if sg.err != nil {
-				return sg.err
-			}
-			if sg.escalate == nil || !sg.escalate[ki] {
-				cells[i] = sg.cells[ki]
-				break
-			}
-			// Escalated: cycle-accurate values need the cycle-accurate
-			// baseline (memoized, shared across cells).
-			sc := scens[si]
-			sim := simulator{ctx, sc.Cfg}
-			var baseline *workload.AppResult
-			if baseline, err = sim.run(policy.NewFixed(soc.NonCohDMA), p.test, sc.Seed+3); err != nil {
-				return fmt.Errorf("%s: %s: baseline: %w", sc.Cfg.Name, stacks[ki].Label(), err)
-			}
-			if cells[i], err = trial(sim, i, baseline); err != nil {
-				return err
-			}
-			cells[i].escalated = true
-			bump(escalatedCells, 1)
-		default:
-			if cells[i], err = trial(p.ev, i, p.baseline); err != nil {
-				return err
-			}
-			if fid == FidelityScreening {
-				bump(screenedCells, 1)
-			}
+		if cells[i], err = trial(i); err != nil {
+			return err
+		}
+		if fid != FidelityFull {
+			bump(screenedCells, 1)
 		}
 		ck.save(i, &learnerCellImage{Exec: cells[i].exec, Mem: cells[i].mem,
-			Decisions: cells[i].decisions, Screened: cells[i].screened, Escalated: cells[i].escalated})
+			Decisions: cells[i].decisions, Screened: fid != FidelityFull})
 		opt.cellDone(CellEvent{Experiment: "learners", Index: i, Total: len(cells)})
 		return nil
 	}
@@ -358,13 +296,7 @@ func Learners(opt Options) (*LearnersResult, error) {
 		out.Scenarios = append(out.Scenarios, scenarioInfo(sc, preps[si].test.Invocations()))
 	}
 	if fid != FidelityFull {
-		escalated := 0
-		for i := range cells {
-			if cells[i].escalated {
-				escalated++
-			}
-		}
-		out.Notes = append(out.Notes, fidelityNotes(fid, model, escalated, len(cells))...)
+		out.Notes = append(out.Notes, fidelityNotes(model, len(cells))...)
 	}
 	return out, nil
 }

@@ -73,9 +73,7 @@ type Options struct {
 	// evaluate their cells: "full" (default; also the empty string) is
 	// the cycle-accurate simulator, byte-identical to before the seam
 	// existed; "screening" estimates every cell with the calibrated
-	// analytical cost model; "auto" screens first and escalates only the
-	// cells whose screened estimates are within the model's held-out
-	// error band of the cell's best back to cycle-accurate simulation.
+	// analytical cost model and notes its held-out error bounds.
 	Fidelity string
 	// LearnerScenarios is the number of randomized scenarios the
 	// learners experiment runs its (algorithm × schedule) grid over.
@@ -218,7 +216,7 @@ func (o Options) Validate() error {
 		return err
 	}
 	switch o.fidelityMode() {
-	case FidelityFull, FidelityScreening, FidelityAuto:
+	case FidelityFull, FidelityScreening:
 	default:
 		return fmt.Errorf("experiment: unknown fidelity %q (valid: %s)", o.Fidelity, ValidFidelities())
 	}

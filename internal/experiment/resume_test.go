@@ -278,15 +278,15 @@ func TestInjectedWorkerPanicSurfacesAndStorePersists(t *testing.T) {
 	}
 }
 
-// TestAutoLearnersResumeScreensNothing: auto learners screens a
-// scenario only when one of its cells computes, so resuming a fully
-// checkpointed run replays every cell, screens none, and renders the
-// same report.
+// TestAutoLearnersResumeScreensNothing: screened learners screens a
+// cell only when it computes, so resuming a fully checkpointed run
+// replays every cell, saves and screens none, and renders the same
+// report.
 func TestAutoLearnersResumeScreensNothing(t *testing.T) {
 	resumeTestSetup(t)
 	opt := Tiny()
 	opt.LearnerScenarios = 2
-	opt.Fidelity = FidelityAuto
+	opt.Fidelity = FidelityScreening
 	if err := SetRunCacheDir(t.TempDir()); err != nil {
 		t.Fatal(err)
 	}

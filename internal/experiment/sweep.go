@@ -42,12 +42,6 @@ type sweepPerScenario struct {
 	execs []float64 // per policy, geomean over phases vs baseline
 	mems  []float64
 	state *learn.TabularState // the trained agent's full learner state
-	// screened marks values estimated by the analytical cost model;
-	// escalated marks auto-mode cells re-run cycle-accurately after an
-	// ambiguous screen. Both persist in the checkpoint image so resumed
-	// runs render the same fidelity notes.
-	screened  bool
-	escalated bool
 }
 
 // SweepScenarioInfo summarizes one sampled scenario for the report.
@@ -202,15 +196,10 @@ func scenarioInfo(sc scenario.Scenario, invocations int) SweepScenarioInfo {
 // sweepCell evaluates one scenario at the requested fidelity; the
 // fidelity only picks the evaluator. Full runs the simulator and keeps
 // the trained agent's learner state (the only state Q-table export may
-// merge). Screening runs the estimator. Auto screens first, then — when
-// the screened per-policy execs hold contenders too close to call at
-// the model's demonstrated accuracy — discards the estimate and re-runs
-// the cell under the simulator, so escalated cells carry exact
-// full-fidelity values.
+// merge). Screening runs the estimator.
 func sweepCell(ctx context.Context, sc scenario.Scenario, opt Options, loaded *learn.TabularState, fid string, model *costmodel.Model) (sweepPerScenario, error) {
-	sim := simulator{ctx, sc.Cfg}
 	if fid == FidelityFull {
-		out, agent, err := sweepScenario(sim, sc, opt, loaded)
+		out, agent, err := sweepScenario(simulator{ctx, sc.Cfg}, sc, opt, loaded)
 		if err == nil {
 			out.state = agent.LearnerState()
 		}
@@ -221,16 +210,9 @@ func sweepCell(ctx context.Context, sc scenario.Scenario, opt Options, loaded *l
 		return sweepPerScenario{}, err
 	}
 	out, _, err := sweepScenario(est, sc, opt, loaded)
-	if err != nil {
-		return out, err
+	if err == nil {
+		bump(screenedCells, 1)
 	}
-	bump(screenedCells, 1)
-	if fid == FidelityAuto && contenders(out.execs, escalationBand(model)) != nil {
-		bump(escalatedCells, 1)
-		out, _, err = sweepScenario(sim, sc, opt, loaded)
-		out.escalated = true
-	}
-	out.screened = true
 	return out, err
 }
 
@@ -270,17 +252,20 @@ type sweepCellImage struct {
 	Execs []float64
 	Mems  []float64
 	State []byte
-	// Screened/Escalated are zero-valued in every pre-existing
-	// checkpoint, which gob decodes fine — and full-fidelity cells never
-	// set them, so full checkpoints stay byte-compatible both ways.
-	Screened  bool
+	// Screened marks a screening-fidelity cell. It is zero-valued in
+	// every pre-existing checkpoint, which gob decodes fine — and
+	// full-fidelity cells never set it, so full checkpoints stay
+	// byte-compatible both ways.
+	Screened bool
+	// Escalated is always false: it marked cells of a removed mode that
+	// re-ran screened cells cycle-accurately, and stays so that
+	// checkpoint bytes do not change.
 	Escalated bool
 }
 
 // image converts a completed cell for persistence.
-func (s *sweepPerScenario) image() (*sweepCellImage, error) {
-	img := &sweepCellImage{Info: s.info, Names: s.names, Execs: s.execs, Mems: s.mems,
-		Screened: s.screened, Escalated: s.escalated}
+func (s *sweepPerScenario) image(screened bool) (*sweepCellImage, error) {
+	img := &sweepCellImage{Info: s.info, Names: s.names, Execs: s.execs, Mems: s.mems, Screened: screened}
 	if s.state != nil {
 		var buf bytes.Buffer
 		if err := learn.EncodeState(&buf, s.state); err != nil {
@@ -294,8 +279,7 @@ func (s *sweepPerScenario) image() (*sweepCellImage, error) {
 // sweepCellFromImage revives a replayed cell, re-validating the
 // embedded learner state.
 func sweepCellFromImage(img *sweepCellImage) (sweepPerScenario, error) {
-	out := sweepPerScenario{info: img.Info, names: img.Names, execs: img.Execs, mems: img.Mems,
-		screened: img.Screened, escalated: img.Escalated}
+	out := sweepPerScenario{info: img.Info, names: img.Names, execs: img.Execs, mems: img.Mems}
 	if len(img.State) > 0 {
 		st, err := learn.DecodeState(bytes.NewReader(img.State))
 		if err != nil {
@@ -387,7 +371,7 @@ func Sweep(opt Options) (*SweepResult, error) {
 		res, err := sweepCell(ctx, sc, opt, loaded, fid, model)
 		perScenario[i] = res
 		if err == nil {
-			if img, ierr := res.image(); ierr == nil {
+			if img, ierr := res.image(fid != FidelityFull); ierr == nil {
 				ck.save(i, img)
 			}
 			opt.cellDone(CellEvent{Experiment: "sweep", Index: i, Total: n})
@@ -421,13 +405,7 @@ func Sweep(opt Options) (*SweepResult, error) {
 	}
 
 	if fid != FidelityFull {
-		escalated := 0
-		for si := range perScenario {
-			if perScenario[si].escalated {
-				escalated++
-			}
-		}
-		out.Notes = append(out.Notes, fidelityNotes(fid, model, escalated, len(perScenario))...)
+		out.Notes = append(out.Notes, fidelityNotes(model, len(perScenario))...)
 	}
 
 	if loaded != nil {

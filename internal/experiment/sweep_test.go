@@ -37,6 +37,9 @@ func TestSweepDeterministicAcrossWorkers(t *testing.T) {
 	if !strings.Contains(seq, "cohmeleon") || !strings.Contains(seq, "scenario-000") {
 		t.Fatalf("report incomplete:\n%s", seq)
 	}
+	if strings.Contains(seq, "fidelity=") {
+		t.Fatalf("full-fidelity report carries a fidelity note:\n%s", seq)
+	}
 }
 
 // TestSweepQTableTransfer drives the full train-on-A/test-on-B

@@ -88,9 +88,8 @@ type JobSpec struct {
 	// (hot, cold) mode splits.
 	FineGrain bool `json:"fine_grain,omitempty"`
 	// Fidelity selects the cell evaluation path: "full" (default, also
-	// the empty string; cycle-accurate), "screening" (calibrated
-	// analytical estimates with error bounds), or "auto" (screen, then
-	// re-simulate only the cells too close to call).
+	// the empty string; cycle-accurate) or "screening" (calibrated
+	// analytical estimates with error bounds).
 	Fidelity string `json:"fidelity,omitempty"`
 	// TimeoutSec caps the job's wall-clock seconds (0 = the server's
 	// default deadline, if any).

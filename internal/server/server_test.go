@@ -197,6 +197,8 @@ func TestJobSpecValidation(t *testing.T) {
 		{JobSpec{Experiment: "sweep", TimeoutSec: -1}, "timeout_sec"},
 		{JobSpec{Experiment: "sweep", Learner: "nope"}, "nope"},
 		{JobSpec{Experiment: "sweep", Schedule: "nope"}, "nope"},
+		{JobSpec{Experiment: "sweep", Fidelity: "screening"}, ""},
+		{JobSpec{Experiment: "sweep", Fidelity: "auto"}, "unknown fidelity"},
 	}
 	for _, c := range cases {
 		err := c.spec.Validate()
