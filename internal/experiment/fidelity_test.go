@@ -72,7 +72,7 @@ func TestScreeningSweepDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestScreeningLearnersDeterministicAcrossWorkers: the same property
-// for the learner grid at both non-full fidelities.
+// for the learner grid at screening fidelity.
 func TestScreeningLearnersDeterministicAcrossWorkers(t *testing.T) {
 	for _, fid := range nonFullFidelities {
 		t.Run(fid, func(t *testing.T) {
